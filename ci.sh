@@ -16,6 +16,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== cargo test (SPP_CHECK=1: coherence checker on)"
 SPP_CHECK=1 cargo test --workspace -q
 
+echo "== perfbench golden gate (helper tests + a short run per workload)"
+# The only gate that runs the observer-free hit path (SPP_CHECK unset)
+# against goldens: every cell's simulated output must match
+# perfbench/goldens.txt.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+for w in paper-apps sync-sharing; do
+  last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seconds 1 --trace 0 | tail -n 1)
+  if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0,' <<<"$last"; then
+    echo "perfbench $w: $last" >&2
+    exit 1
+  fi
+  echo "   perfbench $w: correct, 0 failed"
+done
+
 echo "== repro-all smoke run (1 step, machine-readable report)"
 cargo run --release -q -p spp-bench --bin repro-all -- --steps 1 >/dev/null
 test -s target/repro/BENCH_repro.json

@@ -207,6 +207,14 @@ pub enum SimError {
         /// Scrub attempts spent before giving up.
         attempts: u32,
     },
+    /// A fault plan scheduling more hard faults than the machine can
+    /// track (one bit each in a 64-bit fired mask).
+    TooManyHardFaults {
+        /// Hard faults the plan would hold.
+        got: usize,
+        /// The limit, [`crate::FaultPlan::MAX_HARD_FAULTS`].
+        max: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -276,6 +284,9 @@ impl fmt::Display for SimError {
                 "transient coherence fault on line {line:#x} (cpu {cpu}) persisted \
                  through {attempts} scrub attempts; escalate to checkpoint rollback"
             ),
+            SimError::TooManyHardFaults { got, max } => {
+                write!(f, "a fault plan holds at most {max} hard faults, got {got}")
+            }
         }
     }
 }

@@ -37,6 +37,7 @@
 //! cumulative access clock reaches each fault's trigger cycle, and the
 //! coherence checker validates the degraded invariants afterwards.
 
+use crate::error::SimError;
 use crate::latency::{us_to_cycles, Cycles};
 
 /// One scheduled persistent failure. Unlike the transient sites, a
@@ -199,6 +200,17 @@ pub enum FaultEvent {
 }
 
 impl FaultEvent {
+    /// True for the scheduled hard failures (CPU, link, GCB), which
+    /// count against [`FaultPlan::MAX_HARD_FAULTS`].
+    pub fn is_hard(&self) -> bool {
+        matches!(
+            self,
+            FaultEvent::CpuFail { .. }
+                | FaultEvent::LinkFail { .. }
+                | FaultEvent::GcbDegrade { .. }
+        )
+    }
+
     /// Short stable label for tables and JSON.
     pub fn label(&self) -> &'static str {
         match self {
@@ -341,6 +353,13 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// The most hard faults one plan may schedule: the machine tracks
+    /// which have fired in a 64-bit mask. The hard-fault builders
+    /// panic past it; [`FaultPlan::try_with_hard_fault`] and
+    /// [`FaultPlan::try_from_events`] return
+    /// [`SimError::TooManyHardFaults`] instead.
+    pub const MAX_HARD_FAULTS: usize = 64;
+
     /// A plan with the given seed and no faults enabled. Chain the
     /// `with_*` builders to switch fault classes on.
     pub fn new(seed: u64) -> Self {
@@ -367,8 +386,30 @@ impl FaultPlan {
     /// constructor behind the chaos campaign, the fault sweep, and the
     /// scenario specs (equivalent to folding [`FaultEvent::apply`]
     /// over `events` starting from [`FaultPlan::new`]).
+    ///
+    /// Panics on more than [`FaultPlan::MAX_HARD_FAULTS`] hard-fault
+    /// events; [`FaultPlan::try_from_events`] is the typed-error twin.
     pub fn from_events(seed: u64, events: &[FaultEvent]) -> Self {
-        events.iter().fold(Self::new(seed), |p, e| e.apply(p))
+        Self::try_from_events(seed, events).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible twin of [`FaultPlan::from_events`]: rejects an event
+    /// list with more than [`FaultPlan::MAX_HARD_FAULTS`] hard faults.
+    pub fn try_from_events(seed: u64, events: &[FaultEvent]) -> Result<Self, SimError> {
+        let hard = events.iter().filter(|e| e.is_hard()).count();
+        Self::check_hard_count(hard)?;
+        Ok(events.iter().fold(Self::new(seed), |p, e| e.apply(p)))
+    }
+
+    /// `Ok` when a plan may hold `n` hard faults.
+    pub fn check_hard_count(n: usize) -> Result<(), SimError> {
+        if n > Self::MAX_HARD_FAULTS {
+            return Err(SimError::TooManyHardFaults {
+                got: n,
+                max: Self::MAX_HARD_FAULTS,
+            });
+        }
+        Ok(())
     }
 
     /// A plan exercising every fault class at modest rates — the
@@ -446,36 +487,44 @@ impl FaultPlan {
     }
 
     /// Schedule CPU `cpu` to die once the machine clock reaches
-    /// `at_cycle`.
-    pub fn with_cpu_failure(mut self, cpu: u16, at_cycle: Cycles) -> Self {
-        self.hard_faults.push(HardFault::CpuFail { cpu, at_cycle });
-        self
+    /// `at_cycle`. Like every hard-fault builder, panics past
+    /// [`FaultPlan::MAX_HARD_FAULTS`].
+    pub fn with_cpu_failure(self, cpu: u16, at_cycle: Cycles) -> Self {
+        self.with_hard_fault(HardFault::CpuFail { cpu, at_cycle })
     }
 
     /// Schedule SCI ring `ring` to lose a segment at `at_cycle`;
     /// rerouted traffic pays `reroute_cycles` extra per transaction.
-    pub fn with_link_failure(mut self, ring: u8, at_cycle: Cycles, reroute_cycles: Cycles) -> Self {
-        self.hard_faults.push(HardFault::LinkFail {
+    pub fn with_link_failure(self, ring: u8, at_cycle: Cycles, reroute_cycles: Cycles) -> Self {
+        self.with_hard_fault(HardFault::LinkFail {
             ring,
             at_cycle,
             reroute_cycles,
-        });
-        self
+        })
     }
 
     /// Schedule node `node`'s global cache buffers to halve in
     /// capacity at `at_cycle`.
-    pub fn with_gcb_degrade(mut self, node: u8, at_cycle: Cycles) -> Self {
-        self.hard_faults
-            .push(HardFault::GcbDegrade { node, at_cycle });
-        self
+    pub fn with_gcb_degrade(self, node: u8, at_cycle: Cycles) -> Self {
+        self.with_hard_fault(HardFault::GcbDegrade { node, at_cycle })
     }
 
     /// Append an already-built hard fault (used by the chaos harness
-    /// to assemble plans from event lists).
-    pub fn with_hard_fault(mut self, fault: HardFault) -> Self {
+    /// to assemble plans from event lists). Panics past
+    /// [`FaultPlan::MAX_HARD_FAULTS`]; see
+    /// [`FaultPlan::try_with_hard_fault`].
+    pub fn with_hard_fault(self, fault: HardFault) -> Self {
+        self.try_with_hard_fault(fault)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible twin of [`FaultPlan::with_hard_fault`]: returns
+    /// [`SimError::TooManyHardFaults`] instead of growing the schedule
+    /// past [`FaultPlan::MAX_HARD_FAULTS`].
+    pub fn try_with_hard_fault(mut self, fault: HardFault) -> Result<Self, SimError> {
+        Self::check_hard_count(self.hard_faults.len() + 1)?;
         self.hard_faults.push(fault);
-        self
+        Ok(self)
     }
 
     /// The scheduled persistent failures, in insertion order.
@@ -699,6 +748,36 @@ mod tests {
             .with_gcb_degrade(1, 300_000);
         assert_eq!(from_events, chained);
         assert_eq!(from_events.hard_faults().len(), 3);
+    }
+
+    #[test]
+    fn more_than_64_hard_faults_are_a_typed_error() {
+        let cpu_fail = |i: u64| FaultEvent::CpuFail {
+            cpu: 1,
+            at_cycle: i,
+        };
+        let events: Vec<FaultEvent> = (0..64).map(cpu_fail).collect();
+        let full = FaultPlan::try_from_events(1, &events).expect("64 hard faults fit");
+        assert_eq!(full.hard_faults().len(), FaultPlan::MAX_HARD_FAULTS);
+        let over = SimError::TooManyHardFaults { got: 65, max: 64 };
+        assert_eq!(
+            full.clone()
+                .try_with_hard_fault(HardFault::CpuFail {
+                    cpu: 1,
+                    at_cycle: 64
+                })
+                .unwrap_err(),
+            over
+        );
+        let events: Vec<FaultEvent> = (0..65).map(cpu_fail).collect();
+        assert_eq!(FaultPlan::try_from_events(1, &events).unwrap_err(), over);
+        // Transient events do not count against the limit.
+        let mut mixed = events[..64].to_vec();
+        mixed.push(FaultEvent::SpawnFail { prob: 0.1 });
+        assert!(FaultPlan::try_from_events(1, &mixed).is_ok());
+        let panic = std::panic::catch_unwind(|| full.with_gcb_degrade(0, 1)).unwrap_err();
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("at most 64 hard faults, got 65"), "{msg}");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::config::{CpuId, MachineConfig, NodeId, RingId};
 use crate::directory::{Directory, SciDirectory};
 use crate::error::{ConfigError, SimError};
 use crate::fault::{FaultPlan, HardFault};
+use crate::heat::HeatMap;
 use crate::latency::Cycles;
 use crate::mem::{AddressSpace, MemClass, Region};
 use crate::protocol::{CoherenceProtocol, DashSci, Dragon, Mesi, ProtocolKind, SnoopFilter};
@@ -48,27 +49,22 @@ pub struct Machine {
     pub(crate) snoop: SnoopFilter,
     /// Event counters.
     pub stats: MemStats,
-    /// Per-CPU event counters: each access's [`MemStats`] delta is
-    /// also charged to the issuing CPU, so `cpu_stats` sums to
-    /// `stats` for as long as both started from zero together
-    /// (restoring a snapshot restarts the breakdown at zero; the
-    /// global counters are part of the snapshot, the breakdown is
-    /// observability-only).
+    /// Per-CPU event counters: every access is also charged to the
+    /// issuing CPU — a fault-free hit bumps the same counters here and
+    /// in `stats`, any other access merges its [`MemStats`] delta — so
+    /// `cpu_stats` sums to `stats` for as long as both started from
+    /// zero together (restoring a snapshot restarts the breakdown at
+    /// zero; the global counters are part of the snapshot, the
+    /// breakdown is observability-only).
     pub(crate) cpu_stats: Vec<MemStats>,
     pub(crate) line_shift: u32,
-    /// Per-access invariant checker (see [`crate::check`]); boxed to
-    /// keep the common no-checker machine small.
-    checker: Option<Box<CoherenceChecker>>,
+    /// The opt-in per-access observers (checker, race detector,
+    /// heatmap); `None` means all are off and every access pays one
+    /// branch for them.
+    obs: Option<Box<Observers>>,
     /// Structured event sink (see [`crate::trace`]); `None` means
     /// tracing is off and every event site is a single branch.
     tracer: Option<Box<dyn TraceSink>>,
-    /// Happens-before race detector (see [`crate::race`]); `None`
-    /// means detection is off and every hook is a single branch.
-    racer: Option<Box<RaceSink>>,
-    /// Per-line cycle-attribution heatmap (see [`crate::heat`]);
-    /// `None` means attribution is off and every access site is a
-    /// single branch.
-    heat: Option<Box<crate::heat::HeatMap>>,
     /// Deterministic fault schedule, if installed.
     pub(crate) faults: Option<FaultPlan>,
     /// Cumulative cycles charged across all accesses: the machine's
@@ -93,6 +89,43 @@ pub struct Machine {
     /// on it; [`Machine::try_read`]/[`Machine::try_write`] return it
     /// as a typed error so callers can roll back to a checkpoint.
     pending_recovery_failure: Option<SimError>,
+}
+
+/// The opt-in observers every priced access is fed to, gathered
+/// behind one [`Machine`] field so that with none mounted the access
+/// path tests a single `Option`. Each never changes simulated cycles
+/// or [`MemStats`]; they only audit, record and attribute.
+#[derive(Debug, Clone, Default)]
+struct Observers {
+    /// Per-access invariant checker (see [`crate::check`]).
+    checker: Option<CoherenceChecker>,
+    /// Happens-before race detector (see [`crate::race`]).
+    racer: Option<RaceSink>,
+    /// Per-line cycle-attribution heatmap (see [`crate::heat`]).
+    heat: Option<HeatMap>,
+}
+
+/// Whether an access that finds the issuer's copy in `state` is a
+/// plain hit: any valid copy for a read, a `Modified` one for a
+/// write. This holds under DASH+SCI, MESI and Dragon alike, so the
+/// machine decides it once instead of each backend.
+#[inline]
+fn is_hit(state: LineState, write: bool) -> bool {
+    if write {
+        state == LineState::Modified
+    } else {
+        state != LineState::Invalid
+    }
+}
+
+/// The [`MemStats`] delta of one plain hit.
+fn hit_delta(write: bool) -> MemStats {
+    MemStats {
+        reads: u64::from(!write),
+        writes: u64::from(write),
+        hits: 1,
+        ..MemStats::default()
+    }
 }
 
 /// The full coherence footprint of one line, captured before a
@@ -181,10 +214,8 @@ impl Machine {
             line_shift,
             dead_cpus: vec![0u64; cfg.num_cpus().div_ceil(64)],
             cfg,
-            checker: None,
+            obs: None,
             tracer: None,
-            racer: None,
-            heat: None,
             faults: None,
             clock: 0,
             failed_rings: 0,
@@ -247,9 +278,15 @@ impl Machine {
     /// Enable the per-access coherence checker (idempotent).
     pub fn with_checker(mut self) -> Self {
         let n = self.cfg.num_cpus();
-        self.checker
-            .get_or_insert_with(|| Box::new(CoherenceChecker::new(n)));
+        self.observers_mut()
+            .checker
+            .get_or_insert_with(|| CoherenceChecker::new(n));
         self
+    }
+
+    /// The observer set, mounting an empty one if none is.
+    fn observers_mut(&mut self) -> &mut Observers {
+        self.obs.get_or_insert_with(Default::default)
     }
 
     /// Install a deterministic fault schedule (replacing any previous
@@ -303,30 +340,29 @@ impl Machine {
     /// Detection never changes simulated cycles or [`MemStats`]; it
     /// only records and analyzes.
     pub fn with_race_detection(mut self) -> Self {
-        self.racer.get_or_insert_with(|| Box::new(RaceSink::new()));
+        self.observers_mut().racer.get_or_insert_with(RaceSink::new);
         self
     }
 
     /// True when the race detector is mounted.
     pub fn race_detection_enabled(&self) -> bool {
-        self.racer.is_some()
+        self.race_sink().is_some()
     }
 
     /// The mounted race detector, if any.
     pub fn race_sink(&self) -> Option<&RaceSink> {
-        self.racer.as_deref()
+        self.obs.as_deref().and_then(|o| o.racer.as_ref())
     }
 
     /// Mutable access to the mounted race detector.
     pub fn race_sink_mut(&mut self) -> Option<&mut RaceSink> {
-        self.racer.as_deref_mut()
+        self.obs.as_deref_mut().and_then(|o| o.racer.as_mut())
     }
 
     /// The detector's accumulated findings (empty report when
     /// detection is off).
     pub fn race_report(&self) -> RaceReport {
-        self.racer
-            .as_deref()
+        self.race_sink()
             .map(|r| r.report().clone())
             .unwrap_or_default()
     }
@@ -337,19 +373,29 @@ impl Machine {
     pub fn with_heatmap(mut self) -> Self {
         let clock = self.clock;
         let stats = self.stats;
-        self.heat
-            .get_or_insert_with(|| Box::new(crate::heat::HeatMap::new(clock, stats)));
+        self.observers_mut()
+            .heat
+            .get_or_insert_with(|| HeatMap::new(clock, stats));
         self
     }
 
     /// True when the attribution heatmap is mounted.
     pub fn heatmap_enabled(&self) -> bool {
-        self.heat.is_some()
+        self.heatmap().is_some()
     }
 
     /// The mounted heatmap, if any.
-    pub fn heatmap(&self) -> Option<&crate::heat::HeatMap> {
-        self.heat.as_deref()
+    pub fn heatmap(&self) -> Option<&HeatMap> {
+        self.obs.as_deref().and_then(|o| o.heat.as_ref())
+    }
+
+    /// True when an observer that needs every access individually —
+    /// the race detector or the heatmap — is mounted (the batched runs
+    /// fall back to the scalar loop for these).
+    fn per_access_observers(&self) -> bool {
+        self.obs
+            .as_deref()
+            .is_some_and(|o| o.racer.is_some() || o.heat.is_some())
     }
 
     /// The heatmap's partition invariant: attributed cycles sum
@@ -357,8 +403,7 @@ impl Machine {
     /// counter to the global [`MemStats`] delta it decomposes. Always
     /// true with no heatmap mounted.
     pub fn heat_partition_check(&self) -> bool {
-        self.heat
-            .as_deref()
+        self.heatmap()
             .is_none_or(|h| h.partition_check(self.clock, &self.stats))
     }
 
@@ -401,13 +446,13 @@ impl Machine {
 
     /// The installed checker, if any.
     pub fn checker(&self) -> Option<&CoherenceChecker> {
-        self.checker.as_deref()
+        self.obs.as_deref().and_then(|o| o.checker.as_ref())
     }
 
     /// Mutable access to the installed checker (e.g. to set
     /// [`CoherenceChecker::panic_on_violation`]).
     pub fn checker_mut(&mut self) -> Option<&mut CoherenceChecker> {
-        self.checker.as_deref_mut()
+        self.obs.as_deref_mut().and_then(|o| o.checker.as_mut())
     }
 
     /// The installed fault schedule, if any.
@@ -437,7 +482,7 @@ impl Machine {
         // Auto-register each allocation so race findings resolve to at
         // least a stable range; `SimArray::set_label` refines these
         // with real names and element sizes.
-        if let Some(sink) = self.racer.as_deref_mut() {
+        if let Some(sink) = self.race_sink_mut() {
             let n = r.base;
             sink.register(r.base, r.len, 1, format!("alloc@{n:#x}"));
         }
@@ -481,7 +526,7 @@ impl Machine {
     /// wrong is ever returned); [`Machine::try_read`] surfaces that
     /// case as a typed error instead.
     pub fn read(&mut self, cpu: CpuId, addr: u64) -> Cycles {
-        let cost = self.read_impl(cpu, addr);
+        let cost = self.access(cpu, addr, false);
         if let Some(e) = self.pending_recovery_failure.take() {
             panic!("{e}");
         }
@@ -495,36 +540,11 @@ impl Machine {
     /// when this returns `Err` — the caller escalates (typically
     /// checkpoint rollback-and-replay) rather than consuming data.
     pub fn try_read(&mut self, cpu: CpuId, addr: u64) -> Result<Cycles, SimError> {
-        let cost = self.read_impl(cpu, addr);
+        let cost = self.access(cpu, addr, false);
         match self.pending_recovery_failure.take() {
             Some(e) => Err(e),
             None => Ok(cost),
         }
-    }
-
-    fn read_impl(&mut self, cpu: CpuId, addr: u64) -> Cycles {
-        let before = self.stats;
-        self.apply_due_hard_faults();
-        self.stats.reads += 1;
-        let line = self.line_of(addr);
-        let sci_before = self.stats.sci_fetches + self.stats.sci_invalidations;
-        let mut cost = match self.protocol {
-            ProtocolKind::DashSci => DashSci::read_access(self, cpu, addr, line),
-            ProtocolKind::Mesi => Mesi::read_access(self, cpu, addr, line),
-            ProtocolKind::Dragon => Dragon::read_access(self, cpu, addr, line),
-        };
-        cost += self.inject_ring_stall(sci_before);
-        cost += self.inject_link_reroute(addr, sci_before);
-        self.clock += cost;
-        self.account(cpu, &before);
-        if self.heat.is_some() {
-            self.heat_note(addr, cost, &before);
-        }
-        self.after_access(cpu, line, cost);
-        if let Some(r) = self.racer.as_deref_mut() {
-            r.record_access(addr, false, self.clock);
-        }
-        cost
     }
 
     /// A cached write to the line containing `addr` by `cpu`. Returns
@@ -534,7 +554,7 @@ impl Machine {
     /// whole scrub budget, exactly like [`Machine::read`];
     /// [`Machine::try_write`] is the typed-error twin.
     pub fn write(&mut self, cpu: CpuId, addr: u64) -> Cycles {
-        let cost = self.write_impl(cpu, addr);
+        let cost = self.access(cpu, addr, true);
         if let Some(e) = self.pending_recovery_failure.take() {
             panic!("{e}");
         }
@@ -544,56 +564,132 @@ impl Machine {
     /// Fallible twin of [`Machine::write`]; see [`Machine::try_read`]
     /// for the recovery-escalation contract.
     pub fn try_write(&mut self, cpu: CpuId, addr: u64) -> Result<Cycles, SimError> {
-        let cost = self.write_impl(cpu, addr);
+        let cost = self.access(cpu, addr, true);
         match self.pending_recovery_failure.take() {
             Some(e) => Err(e),
             None => Ok(cost),
         }
     }
 
-    fn write_impl(&mut self, cpu: CpuId, addr: u64) -> Cycles {
+    /// One cached access. Without a fault plan the issuer's cache is
+    /// looked up once: a hit (see [`is_hit`]) is charged right here —
+    /// the access counter, `hits` and the clock, in `stats` and in the
+    /// issuer's `cpu_stats` row alike — and anything else goes to
+    /// [`Machine::priced_access`] with the state already in hand.
+    /// With a plan installed every access takes the priced path, which
+    /// fires due hard faults before it looks anything up.
+    #[inline]
+    fn access(&mut self, cpu: CpuId, addr: u64, write: bool) -> Cycles {
+        let line = self.line_of(addr);
+        if self.faults.is_some() {
+            return self.priced_access(cpu, addr, line, None, write);
+        }
+        let c = cpu.0 as usize;
+        let state = self.caches[c].lookup(line);
+        if !is_hit(state, write) {
+            return self.priced_access(cpu, addr, line, Some(state), write);
+        }
+        let hit = self.cfg.latency.cache_hit;
+        let per = &mut self.cpu_stats[c];
+        if write {
+            self.stats.writes += 1;
+            per.writes += 1;
+        } else {
+            self.stats.reads += 1;
+            per.reads += 1;
+        }
+        self.stats.hits += 1;
+        per.hits += 1;
+        self.clock += hit;
+        if self.obs.is_some() {
+            self.observe(cpu, addr, hit, write, &hit_delta(write));
+        }
+        hit
+    }
+
+    /// Price an access the hit path did not settle: a miss, upgrade or
+    /// other protocol write transition, or any access while a fault
+    /// plan is installed. `looked_up` is the issuer's cache state when
+    /// [`Machine::access`] already read it (`None` under a fault plan:
+    /// a due hard fault may purge the cache first). The issuer's
+    /// breakdown is charged by snapshot-diff, since a backend or fault
+    /// path may bump any counter.
+    fn priced_access(
+        &mut self,
+        cpu: CpuId,
+        addr: u64,
+        line: u64,
+        looked_up: Option<LineState>,
+        write: bool,
+    ) -> Cycles {
         let before = self.stats;
         self.apply_due_hard_faults();
-        self.stats.writes += 1;
-        let line = self.line_of(addr);
+        if write {
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
+        }
+        let state = looked_up.unwrap_or_else(|| self.caches[cpu.0 as usize].lookup(line));
         let sci_before = self.stats.sci_fetches + self.stats.sci_invalidations;
-        let mut cost = match self.protocol {
-            ProtocolKind::DashSci => DashSci::write_access(self, cpu, addr, line),
-            ProtocolKind::Mesi => Mesi::write_access(self, cpu, addr, line),
-            ProtocolKind::Dragon => Dragon::write_access(self, cpu, addr, line),
+        let mut cost = if is_hit(state, write) {
+            self.stats.hits += 1;
+            self.cfg.latency.cache_hit
+        } else if write {
+            match self.protocol {
+                ProtocolKind::DashSci => DashSci::write_access(self, cpu, addr, line, state),
+                ProtocolKind::Mesi => Mesi::write_access(self, cpu, addr, line, state),
+                ProtocolKind::Dragon => Dragon::write_access(self, cpu, addr, line, state),
+            }
+        } else {
+            match self.protocol {
+                ProtocolKind::DashSci => DashSci::read_miss(self, cpu, addr, line),
+                ProtocolKind::Mesi => Mesi::read_miss(self, cpu, addr, line),
+                ProtocolKind::Dragon => Dragon::read_miss(self, cpu, addr, line),
+            }
         };
+        self.inject_transient(cpu, addr, line);
         cost += self.inject_ring_stall(sci_before);
         cost += self.inject_link_reroute(addr, sci_before);
         self.clock += cost;
         self.account(cpu, &before);
-        if self.heat.is_some() {
-            self.heat_note(addr, cost, &before);
-        }
-        self.after_access(cpu, line, cost);
-        if let Some(r) = self.racer.as_deref_mut() {
-            r.record_access(addr, true, self.clock);
+        if self.obs.is_some() {
+            let delta = self.stats.since(&before);
+            self.observe(cpu, addr, cost, write, &delta);
         }
         cost
     }
 
     /// Charge the global-counter delta since `before` to `cpu`'s
-    /// breakdown. Runs on every access; ~30 integer ops, independent
-    /// of tracing.
+    /// breakdown: the snapshot-diff half of per-CPU accounting, run
+    /// by priced (non-hit or faulted) accesses and uncached ops.
+    /// Fault-free hits bump `cpu_stats` directly instead.
     #[inline]
     fn account(&mut self, cpu: CpuId, before: &MemStats) {
         let delta = self.stats.since(before);
         self.cpu_stats[cpu.0 as usize].merge(&delta);
     }
 
-    /// Attribute one priced access to the heatmap; only called when a
-    /// heatmap is mounted.
+    /// Feed one priced access to every mounted observer: the heatmap
+    /// attributes `cost` and the counter `delta` to the line, the
+    /// checker audits the line and the counters, and the race
+    /// detector records the access. Only called when some observer is
+    /// mounted.
     #[cold]
-    fn heat_note(&mut self, addr: u64, cost: Cycles, before: &MemStats) {
-        let delta = self.stats.since(before);
+    fn observe(&mut self, cpu: CpuId, addr: u64, cost: Cycles, write: bool, delta: &MemStats) {
+        let Some(mut obs) = self.obs.take() else {
+            return;
+        };
         let line = self.line_of(addr);
-        if let Some(h) = self.heat.as_deref_mut() {
-            h.note(line, cost, &delta);
+        if let Some(h) = obs.heat.as_mut() {
+            h.note(line, cost, delta);
         }
+        if let Some(ck) = obs.checker.as_mut() {
+            ck.after_access(self, cpu, line, cost);
+        }
+        if let Some(r) = obs.racer.as_mut() {
+            r.record_access(addr, write, self.clock);
+        }
+        self.obs = Some(obs);
     }
 
     /// Record a trace event stamped with the machine clock and
@@ -692,22 +788,22 @@ impl Machine {
     /// machine's cumulative access clock, so for a given access
     /// stream the faults land on exactly the same access every run.
     fn apply_due_hard_faults(&mut self) {
-        let Some(plan) = self.faults.as_ref() else {
+        let Some(n) = self.faults.as_ref().map(|p| p.hard_faults().len()) else {
             return;
         };
-        if plan.hard_faults().is_empty() {
-            return;
-        }
-        let due: Vec<(usize, HardFault)> = plan
-            .hard_faults()
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, h)| self.hard_applied & (1 << i) == 0 && h.at_cycle() <= self.clock)
-            .collect();
-        for (i, h) in due {
-            self.hard_applied |= 1 << i;
-            self.apply_hard_fault(h);
+        // Firing a fault moves neither the clock nor the plan, so
+        // testing each entry in turn matches testing all of them first.
+        for i in 0..n {
+            let bit = 1u64 << i;
+            let h = self
+                .faults
+                .as_ref()
+                .expect("plan checked above")
+                .hard_faults()[i];
+            if self.hard_applied & bit == 0 && h.at_cycle() <= self.clock {
+                self.hard_applied |= bit;
+                self.apply_hard_fault(h);
+            }
         }
     }
 
@@ -823,15 +919,12 @@ impl Machine {
 
     /// True while the installed plan still has unfired hard faults.
     pub fn hard_faults_pending(&self) -> bool {
-        self.faults
-            .as_ref()
-            .map(|f| {
-                f.hard_faults()
-                    .iter()
-                    .enumerate()
-                    .any(|(i, _)| self.hard_applied & (1 << i) == 0)
-            })
-            .unwrap_or(false)
+        self.faults.as_ref().is_some_and(|f| {
+            // One fired bit per entry, at most FaultPlan::MAX_HARD_FAULTS.
+            let n = f.hard_faults().len() as u32;
+            let all = u64::MAX.checked_shr(64 - n).unwrap_or(0);
+            self.hard_applied & all != all
+        })
     }
 
     /// Batched runs fall back to the scalar loop while hard faults
@@ -840,14 +933,6 @@ impl Machine {
     /// cache never refills, so the run's hit assumption is void).
     fn degraded_path(&self, cpu: CpuId) -> bool {
         self.is_cpu_dead(cpu) || self.hard_faults_pending()
-    }
-
-    /// Run the per-access checker hook, if enabled.
-    fn after_access(&mut self, cpu: CpuId, line: u64, cost: Cycles) {
-        if let Some(mut ck) = self.checker.take() {
-            ck.after_access(self, cpu, line, cost);
-            self.checker = Some(ck);
-        }
     }
 
     /// True when the installed fault plan can inject transient
@@ -862,9 +947,9 @@ impl Machine {
             .unwrap_or(false)
     }
 
-    /// The transient coherence-fault seam, called by every protocol
-    /// backend at the end of [`CoherenceProtocol::read_access`] /
-    /// [`CoherenceProtocol::write_access`]. Draws the per-kind
+    /// The transient coherence-fault seam, called once per cached
+    /// access after the hit charge or the protocol backend, under
+    /// every protocol. Draws the per-kind
     /// decision streams, injects at most one corruption into the
     /// accessed line's footprint, detects it with the line-local
     /// invariant audit, and repairs it with a bounded scrub loop.
@@ -875,7 +960,7 @@ impl Machine {
     /// counters move — which is what makes a recovered run
     /// bit-identical to the fault-free run
     /// ([`MemStats::eq_modulo_recovery`]).
-    pub(crate) fn inject_transient(&mut self, cpu: CpuId, addr: u64, line: u64) {
+    fn inject_transient(&mut self, cpu: CpuId, addr: u64, line: u64) {
         if !self.transients_active() || self.is_cpu_dead(cpu) {
             // Dead CPUs' drained accesses carry no new coherence
             // traffic for a transient to land on.
@@ -1265,8 +1350,11 @@ impl Machine {
         };
         self.clock += cost;
         self.account(cpu, &before);
-        if self.heat.is_some() {
-            self.heat_note(addr, cost, &before);
+        // Only the heatmap attributes uncached ops; the checker and the
+        // race detector see cached accesses.
+        let line = self.line_of(addr);
+        if let Some(h) = self.obs.as_deref_mut().and_then(|o| o.heat.as_mut()) {
+            h.note(line, cost, &self.stats.since(&before));
         }
         cost
     }
@@ -1290,11 +1378,7 @@ impl Machine {
         // draws a decision per element through the protocol seam; the
         // heatmap attributes per access. All take the scalar loop,
         // which the run-equivalence invariant makes bit-identical.
-        if self.degraded_path(cpu)
-            || self.racer.is_some()
-            || self.heat.is_some()
-            || self.transients_active()
-        {
+        if self.degraded_path(cpu) || self.per_access_observers() || self.transients_active() {
             let mut total = 0;
             for i in 0..n {
                 total += self.read(cpu, addr + i as u64 * elem_bytes);
@@ -1322,9 +1406,12 @@ impl Machine {
                 per.hits += rem as u64;
                 total += rem as u64 * hit;
                 self.clock += rem as u64 * hit;
-                if self.checker.is_some() {
+                if self.obs.is_some() {
+                    // Only the checker can be mounted here (the other
+                    // observers take the scalar loop); it audits every
+                    // element.
                     for _ in 0..rem {
-                        self.after_access(cpu, line, hit);
+                        self.observe(cpu, a, hit, false, &hit_delta(false));
                     }
                 }
             }
@@ -1346,8 +1433,7 @@ impl Machine {
         // stays a broadcasting hit (never Modified), so the
         // rest-are-plain-hits assumption does not hold there.
         if self.degraded_path(cpu)
-            || self.racer.is_some()
-            || self.heat.is_some()
+            || self.per_access_observers()
             || self.transients_active()
             || self.protocol == ProtocolKind::Dragon
         {
@@ -1374,9 +1460,12 @@ impl Machine {
                 per.hits += rem as u64;
                 total += rem as u64 * hit;
                 self.clock += rem as u64 * hit;
-                if self.checker.is_some() {
+                if self.obs.is_some() {
+                    // Only the checker can be mounted here (the other
+                    // observers take the scalar loop); it audits every
+                    // element.
                     for _ in 0..rem {
-                        self.after_access(cpu, line, hit);
+                        self.observe(cpu, a, hit, true, &hit_delta(true));
                     }
                 }
             }
@@ -1740,10 +1829,13 @@ impl Machine {
     /// consume, so they are excluded.
     pub fn peek_read_cost(&self, cpu: CpuId, addr: u64) -> Cycles {
         let line = self.line_of(addr);
+        if is_hit(self.caches[cpu.0 as usize].lookup(line), false) {
+            return self.cfg.latency.cache_hit;
+        }
         match self.protocol {
-            ProtocolKind::DashSci => DashSci::peek_read(self, cpu, addr, line),
-            ProtocolKind::Mesi => Mesi::peek_read(self, cpu, addr, line),
-            ProtocolKind::Dragon => Dragon::peek_read(self, cpu, addr, line),
+            ProtocolKind::DashSci => DashSci::peek_read_miss(self, cpu, addr, line),
+            ProtocolKind::Mesi => Mesi::peek_read_miss(self, cpu, addr, line),
+            ProtocolKind::Dragon => Dragon::peek_read_miss(self, cpu, addr, line),
         }
     }
 
@@ -2428,10 +2520,7 @@ mod tests {
     fn per_cpu_stats_sum_to_global() {
         let mut m = m2();
         mixed_workload(&mut m);
-        let mut sum = MemStats::default();
-        for s in m.per_cpu_stats() {
-            sum.merge(s);
-        }
+        let sum = sum_of(m.per_cpu_stats());
         assert_eq!(sum, m.stats, "per-CPU breakdown must sum to global");
         // And the per-node rollup is the same partition at node grain.
         let mut nodes = MemStats::default();
@@ -2439,6 +2528,143 @@ mod tests {
             nodes.merge(&m.node_stats(NodeId(n as u8)));
         }
         assert_eq!(nodes, m.stats);
+    }
+
+    /// A mixed stream for the hit-path tests on a tiny-cache machine:
+    /// misses, read and write hits, upgrades, direct-mapped conflict
+    /// evictions, uncached ops and batched runs, then a MESI `E`→`M`
+    /// write and a Dragon shared write (each checked under its
+    /// protocol).
+    fn hit_path_stream(m: &mut Machine) -> Cycles {
+        let r = m.alloc(MemClass::FarShared, 16 * 1024);
+        let sem = m.alloc(MemClass::NearShared { node: NodeId(1) }, 64);
+        let conflict = m.config().cache_bytes as u64; // same slot
+        let mut total = 0;
+        for i in 0..512u64 {
+            let cpu = CpuId((i * 5 % 16) as u16);
+            let a = r.addr(i * 24 % (8 * 1024));
+            total += m.read(cpu, a);
+            total += m.read(cpu, a);
+            if i % 3 == 0 {
+                total += m.write(cpu, a);
+                total += m.write(cpu, a);
+            }
+            total += m.read(cpu, a + conflict);
+            if i % 37 == 0 {
+                total += m.uncached_op(cpu, sem.addr(0));
+            }
+        }
+        total += m.read_run(CpuId(2), r.addr(4), 8, 700);
+        total += m.write_run(CpuId(10), r.addr(8192), 8, 700);
+
+        // A line only CPU 7 has read: MESI installs it E, and the
+        // write promotes it silently.
+        let e = r.addr(15 * 1024);
+        total += m.read(CpuId(7), e);
+        if m.protocol() == ProtocolKind::Mesi {
+            assert_eq!(m.caches[7].lookup(m.line_of(e)), LineState::Exclusive);
+        }
+        total += m.write(CpuId(7), e);
+        assert_eq!(m.caches[7].lookup(m.line_of(e)), LineState::Modified);
+
+        // Two readers, then writes by one: under Dragon a broadcast
+        // update leaving the writer in Sm.
+        let sh = r.addr(15 * 1024 + 512);
+        total += m.read(CpuId(4), sh);
+        total += m.read(CpuId(12), sh);
+        let updates = m.stats.updates;
+        total += m.write(CpuId(4), sh);
+        total += m.write(CpuId(4), sh);
+        if m.protocol() == ProtocolKind::Dragon {
+            assert_eq!(m.stats.updates, updates + 2);
+            assert_eq!(m.caches[4].lookup(m.line_of(sh)), LineState::OwnedShared);
+        }
+        total
+    }
+
+    fn sum_of(per_cpu: &[MemStats]) -> MemStats {
+        let mut sum = MemStats::default();
+        for s in per_cpu {
+            sum.merge(s);
+        }
+        sum
+    }
+
+    #[test]
+    fn hit_path_is_identical_with_and_without_observers() {
+        for proto in ProtocolKind::ALL {
+            let run = |observed: bool| {
+                let mut m = Machine::new(MachineConfig::tiny(2))
+                    .with_protocol(proto)
+                    .with_checker();
+                if !observed {
+                    // The checker is the only observer mounted, so
+                    // this takes every access down the observer-off
+                    // path.
+                    m.obs = None;
+                }
+                let cycles = hit_path_stream(&mut m);
+                let per_cpu = m.per_cpu_stats().to_vec();
+                (cycles, m.clock(), m.stats, per_cpu, m.coherence_digest())
+            };
+            let observed = run(true);
+            let plain = run(false);
+            assert_eq!(observed, plain, "{proto:?}: observers changed the run");
+            let s = plain.2;
+            assert_eq!(sum_of(&plain.3), s, "{proto:?}");
+            assert_eq!(plain.1, plain.0, "{proto:?}: clock is the cycle sum");
+            assert!(
+                s.hits > s.misses() && s.evictions > 0 && s.uncached_ops > 0,
+                "{proto:?}: stream must hit, miss and conflict: {s}"
+            );
+        }
+    }
+
+    #[test]
+    fn per_cpu_stats_sum_to_global_under_fault_plans() {
+        let transient = FaultPlan::new(31)
+            .with_ring_stalls(0.3, 200)
+            .with_inval_dups(0.05)
+            .with_line_corruption(0.02);
+        let hard = FaultPlan::new(32)
+            .with_cpu_failure(9, 20_000)
+            .with_link_failure(1, 5_000, 400)
+            .with_gcb_degrade(0, 10_000);
+        for proto in ProtocolKind::ALL {
+            let mut m = Machine::new(MachineConfig::tiny(2))
+                .with_protocol(proto)
+                .with_faults(transient.clone());
+            hit_path_stream(&mut m);
+            assert!(m.stats.recoveries > 0, "{proto:?}: no transient landed");
+            assert_eq!(sum_of(m.per_cpu_stats()), m.stats, "{proto:?} transient");
+
+            let mut m = Machine::new(MachineConfig::tiny(2))
+                .with_protocol(proto)
+                .with_faults(hard.clone());
+            hit_path_stream(&mut m);
+            assert!(!m.hard_faults_pending(), "{proto:?}: hard faults pending");
+            assert_eq!(m.dead_cpu_list(), vec![CpuId(9)]);
+            assert_eq!(sum_of(m.per_cpu_stats()), m.stats, "{proto:?} hard");
+        }
+    }
+
+    #[test]
+    fn a_full_64_entry_hard_fault_schedule_fires_every_entry() {
+        let mut plan = FaultPlan::new(5);
+        for i in 0..FaultPlan::MAX_HARD_FAULTS as u64 {
+            plan = match i % 3 {
+                0 => plan.with_cpu_failure(15, i * 50),
+                1 => plan.with_gcb_degrade(1, i * 50),
+                _ => plan.with_link_failure(2, i * 50, 300),
+            };
+        }
+        let mut m = Machine::spp1000(2).with_faults(plan);
+        assert!(m.hard_faults_pending());
+        remote_traffic(&mut m);
+        assert!(m.clock() > 64 * 50);
+        assert!(!m.hard_faults_pending());
+        assert_eq!(m.hard_applied, u64::MAX, "entry 63 must get its own bit");
+        assert!(m.is_cpu_dead(CpuId(15)));
     }
 
     #[test]

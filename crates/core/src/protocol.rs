@@ -2,9 +2,12 @@
 //!
 //! [`Machine::read`] / [`Machine::write`] wrap every access in the
 //! protocol-independent machinery — hard-fault triggering, access
-//! counters, ring-stall/reroute injection, the clock, the per-access
-//! checker and tracer — and dispatch the coherence decision itself
-//! (hit classification, miss service, state transitions, pricing) to
+//! counters, hit classification, ring-stall/reroute and transient
+//! fault injection, the clock, the per-access observers and tracer.
+//! A read hit (any valid state) and a write hit (`Modified`) mean the
+//! same under every protocol, so the machine charges those itself and
+//! dispatches only the rest — misses, upgrades, and the protocol's
+//! own write transitions (state changes, miss service, pricing) — to
 //! the machine's selected [`ProtocolKind`]:
 //!
 //! * [`DashSci`] — the SPP-1000's real stack: DASH-style intra-node
@@ -109,19 +112,21 @@ impl std::fmt::Display for ProtocolKind {
 }
 
 /// The seam every backend implements. The machine's access wrappers
-/// call exactly one of these per cached access, with the line address
-/// already computed; implementations mutate coherence state, bump the
-/// relevant [`crate::MemStats`] counters (hit or exactly one miss
-/// class per access — the conservation invariant), and return the
-/// cycles the issuing CPU observes.
+/// decide plain hits themselves and call at most one of these per
+/// cached access, with the line address and the issuer's looked-up
+/// state already computed; implementations mutate coherence state,
+/// bump the relevant [`crate::MemStats`] counters (hit or exactly one
+/// miss class per access — the conservation invariant), and return
+/// the cycles the issuing CPU observes.
 pub trait CoherenceProtocol {
-    /// Service a cached read of `line` (containing `addr`) by `cpu`.
-    fn read_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles;
-    /// Service a cached write to `line` by `cpu`.
-    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles;
-    /// Price a read of `line` against the current state without
+    /// Service a read miss of `line` (containing `addr`) by `cpu`.
+    fn read_miss(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles;
+    /// Service a write to `line` by `cpu`, whose copy is in `state`
+    /// (never [`LineState::Modified`]: that is a plain hit).
+    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, state: LineState) -> Cycles;
+    /// Price a read miss of `line` against the current state without
     /// mutating anything (the twin of [`Machine::peek_read_cost`]).
-    fn peek_read(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles;
+    fn peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles;
 }
 
 /// Sparse holder tracking for the snooping backends: which CPUs hold
@@ -205,22 +210,12 @@ impl SnoopFilter {
 pub struct DashSci;
 
 impl CoherenceProtocol for DashSci {
-    fn read_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        let cost = match m.caches[cpu.0 as usize].lookup(line) {
-            LineState::Invalid => m.read_miss(cpu, addr, line),
-            // Shared | Modified; the MESI/Dragon states cannot occur
-            // under DASH+SCI and would be owning hits regardless.
-            _ => {
-                m.stats.hits += 1;
-                m.cfg.latency.cache_hit
-            }
-        };
-        m.inject_transient(cpu, addr, line);
-        cost
+    fn read_miss(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+        m.read_miss(cpu, addr, line)
     }
 
-    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        let cost = match m.caches[cpu.0 as usize].lookup(line) {
+    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, state: LineState) -> Cycles {
+        match state {
             LineState::Shared => {
                 // Write upgrade: the data is present (a hit), but
                 // exclusivity must be obtained.
@@ -254,22 +249,13 @@ impl CoherenceProtocol for DashSci {
                 }
                 fetch + inv
             }
-            // Modified; E/Sm cannot occur under DASH+SCI.
-            _ => {
-                m.stats.hits += 1;
-                m.cfg.latency.cache_hit
-            }
-        };
-        m.inject_transient(cpu, addr, line);
-        cost
+            // Modified is the machine's hit; E/Sm never occur here.
+            s => unreachable!("DASH+SCI write to a {s:?} line"),
+        }
     }
 
-    fn peek_read(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+    fn peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
         let lat = &m.cfg.latency;
-        match m.caches[cpu.0 as usize].lookup(line) {
-            LineState::Invalid => {}
-            _ => return lat.cache_hit,
-        }
         let my_node = m.cfg.node_of_cpu(cpu);
         let in_node = m.cfg.cpu_index_in_node(cpu) as u8;
         let (hnode, hfu) = m.space.home_of(addr);
@@ -351,11 +337,8 @@ fn snoop_evict(m: &mut Machine, cpu: CpuId, victim: Evicted) -> Cycles {
 /// supplies cache-to-cache, otherwise memory supplies at home-local
 /// or SCI-remote cost; a displaced dirty victim writes back. Pure —
 /// the peek twin of the mutating miss paths.
-fn snoop_peek_read(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+fn snoop_peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
     let lat = &m.cfg.latency;
-    if m.caches[cpu.0 as usize].lookup(line) != LineState::Invalid {
-        return lat.cache_hit;
-    }
     let others = m.snoop.others(line, cpu.0);
     let dirty = others
         .iter()
@@ -474,21 +457,13 @@ impl Mesi {
 }
 
 impl CoherenceProtocol for Mesi {
-    fn read_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        let cost = match m.caches[cpu.0 as usize].lookup(line) {
-            LineState::Invalid => Self::miss_fetch(m, cpu, addr, line, false),
-            _ => {
-                m.stats.hits += 1;
-                m.cfg.latency.cache_hit
-            }
-        };
-        m.inject_transient(cpu, addr, line);
-        cost
+    fn read_miss(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+        Self::miss_fetch(m, cpu, addr, line, false)
     }
 
-    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, state: LineState) -> Cycles {
         let lat = m.cfg.latency.clone();
-        let cost = match m.caches[cpu.0 as usize].lookup(line) {
+        match state {
             LineState::Exclusive => {
                 // The MESI payoff: sole clean copy upgrades silently.
                 m.stats.hits += 1;
@@ -519,18 +494,13 @@ impl CoherenceProtocol for Mesi {
                 m.emit(cpu, TraceEvent::Upgrade { line });
                 cost
             }
-            // Modified (Sm cannot occur under MESI).
-            _ => {
-                m.stats.hits += 1;
-                lat.cache_hit
-            }
-        };
-        m.inject_transient(cpu, addr, line);
-        cost
+            // Modified is the machine's hit; Sm never occurs here.
+            s => unreachable!("MESI write to a {s:?} line"),
+        }
     }
 
-    fn peek_read(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        snoop_peek_read(m, cpu, addr, line)
+    fn peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+        snoop_peek_read_miss(m, cpu, addr, line)
     }
 }
 
@@ -621,43 +591,28 @@ impl Dragon {
 }
 
 impl CoherenceProtocol for Dragon {
-    fn read_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        let cost = match m.caches[cpu.0 as usize].lookup(line) {
-            LineState::Invalid => {
-                let others = m.snoop.others(line, cpu.0);
-                let mut cost = Self::fetch(m, cpu, addr, line, &others);
-                // A dead CPU's drained request never refills its
-                // cache (and the transient seam skips dead issuers).
-                if m.is_cpu_dead(cpu) {
-                    return cost;
-                }
-                let state = if others.is_empty() {
-                    LineState::Exclusive
-                } else {
-                    LineState::Shared
-                };
-                if let Some(victim) = m.caches[cpu.0 as usize].fill(line, state) {
-                    cost += snoop_evict(m, cpu, victim);
-                }
-                m.snoop.add(line, cpu.0);
-                cost
-            }
-            _ => {
-                m.stats.hits += 1;
-                m.cfg.latency.cache_hit
-            }
+    fn read_miss(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+        let others = m.snoop.others(line, cpu.0);
+        let mut cost = Self::fetch(m, cpu, addr, line, &others);
+        // A dead CPU's drained request never refills its cache.
+        if m.is_cpu_dead(cpu) {
+            return cost;
+        }
+        let state = if others.is_empty() {
+            LineState::Exclusive
+        } else {
+            LineState::Shared
         };
-        m.inject_transient(cpu, addr, line);
+        if let Some(victim) = m.caches[cpu.0 as usize].fill(line, state) {
+            cost += snoop_evict(m, cpu, victim);
+        }
+        m.snoop.add(line, cpu.0);
         cost
     }
 
-    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, state: LineState) -> Cycles {
         let lat = m.cfg.latency.clone();
-        let cost = match m.caches[cpu.0 as usize].lookup(line) {
-            LineState::Modified => {
-                m.stats.hits += 1;
-                lat.cache_hit
-            }
+        match state {
             LineState::Exclusive => {
                 m.stats.hits += 1;
                 m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
@@ -700,13 +655,13 @@ impl CoherenceProtocol for Dragon {
                 m.snoop.add(line, cpu.0);
                 cost
             }
-        };
-        m.inject_transient(cpu, addr, line);
-        cost
+            // Modified is the machine's hit.
+            LineState::Modified => unreachable!("Dragon write to a Modified line"),
+        }
     }
 
-    fn peek_read(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        snoop_peek_read(m, cpu, addr, line)
+    fn peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
+        snoop_peek_read_miss(m, cpu, addr, line)
     }
 }
 

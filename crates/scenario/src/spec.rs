@@ -9,7 +9,7 @@
 //! property-tested in `tests/roundtrip.rs`).
 
 use crate::toml::{self, Table, Value};
-use spp_core::{FaultEvent, ProtocolKind};
+use spp_core::{FaultEvent, FaultPlan, ProtocolKind};
 use std::fmt;
 
 /// The spec schema this build reads and writes.
@@ -792,6 +792,10 @@ impl ScenarioSpec {
                         w.app.label()
                     ));
                 }
+                let hard = w.faults.iter().filter(|e| e.is_hard()).count();
+                if let Err(e) = FaultPlan::check_hard_count(hard) {
+                    return serr(format!("[faults] {e}"));
+                }
                 if w.rollbacks > 0 && w.checkpoint_every == 0 {
                     return serr(
                         "[recovery] rollbacks needs checkpoint_every > 0 \
@@ -1186,6 +1190,30 @@ reads = 1000
         )
         .unwrap_err();
         assert!(e.to_string().contains("meteor"), "{e}");
+    }
+
+    #[test]
+    fn more_than_64_hard_faults_are_rejected() {
+        let spec = |n: usize| {
+            let mut t = String::from(
+                "schema = 1\n[scenario]\nname = \"x\"\nkind = \"workload\"\n\
+                 [workload]\napp = \"pic\"\n[faults]\nseed = 1\n",
+            );
+            for i in 0..n {
+                t += &format!("[[faults.events]]\nkind = \"cpu-fail\"\ncpu = 1\nat_cycle = {i}\n");
+            }
+            ScenarioSpec::from_toml_str(&t)
+        };
+        let w = spec(64).expect("64 hard faults fit");
+        let ScenarioKind::Workload(w) = &w.kind else {
+            panic!("workload spec expected");
+        };
+        assert_eq!(w.faults.len(), 64);
+        let e = spec(65).unwrap_err();
+        assert!(
+            e.to_string().contains("at most 64 hard faults, got 65"),
+            "{e}"
+        );
     }
 
     #[test]
