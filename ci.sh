@@ -31,26 +31,29 @@ for w in paper-apps sync-sharing; do
   echo "   perfbench $w: correct, 0 failed"
 done
 
-echo "== repro-all smoke run (1 step, machine-readable report)"
-cargo run --release -q -p spp-bench --bin repro-all -- --steps 1 >/dev/null
-test -s target/repro/BENCH_repro.json
-grep -q '"passed": true' target/repro/BENCH_repro.json
-echo "   target/repro/BENCH_repro.json OK"
+echo "== spp repro all smoke run (1 step, every registered experiment)"
+cargo build --release -q -p spp-bench --bin spp
+SPP=target/release/spp
+SPP_REPRO_DIR=target/repro/all "$SPP" repro all --steps 1 >/dev/null
+test -s target/repro/all/BENCH_scenarios.json
+grep -q '"all_as_expected": true' target/repro/all/BENCH_scenarios.json
+test "$(grep -c '"status": "pass"' target/repro/all/BENCH_scenarios.json)" -eq 21
+echo "   target/repro/all/BENCH_scenarios.json OK (21 experiments pass)"
 
-echo "== repro-chaos smoke run (1 step, fixed-seed grid, checker on)"
-SPP_CHECK=1 cargo run --release -q -p spp-bench --bin repro-chaos -- --steps 1 >/dev/null
+echo "== spp repro chaos smoke run (1 step, fixed-seed grid, checker on)"
+SPP_CHECK=1 "$SPP" repro chaos --steps 1 >/dev/null
 test -s target/repro/BENCH_chaos.json
 grep -q '"passed": true' target/repro/BENCH_chaos.json
 echo "   target/repro/BENCH_chaos.json OK"
 
-echo "== repro-trace smoke run (1 step, tracing + reconciliation gates)"
-cargo run --release -q -p spp-bench --bin repro-trace -- --steps 1 >/dev/null
+echo "== spp repro trace smoke run (1 step, tracing + reconciliation gates)"
+"$SPP" repro trace --steps 1 >/dev/null
 test -s target/repro/BENCH_trace.json
 grep -q '"passed": true' target/repro/BENCH_trace.json
 echo "   target/repro/BENCH_trace.json OK"
 
-echo "== repro-race smoke run (1 step, detector + schedule fuzzing + racy control)"
-cargo run --release -q -p spp-bench --bin repro-race -- --steps 1 >/dev/null
+echo "== spp repro race smoke run (1 step, detector + schedule fuzzing + racy control)"
+"$SPP" repro race --steps 1 >/dev/null
 test -s target/repro/BENCH_race.json
 grep -q '"passed": true' target/repro/BENCH_race.json
 test -s target/repro/race_repro.json
@@ -58,13 +61,13 @@ echo "   target/repro/BENCH_race.json OK"
 
 echo "== trace determinism (two runs, byte-identical timeline)"
 cp target/repro/trace_timeline.json target/repro/trace_timeline.first.json
-cargo run --release -q -p spp-bench --bin repro-trace -- --steps 1 >/dev/null
+"$SPP" repro trace --steps 1 >/dev/null
 cmp target/repro/trace_timeline.first.json target/repro/trace_timeline.json
 rm -f target/repro/trace_timeline.first.json
 echo "   trace_timeline.json byte-identical across runs"
 
-echo "== repro-insight smoke (attribution campaign, 4 apps x 3 protocols, 1 step)"
-cargo run --release -q -p spp-bench --bin repro-insight -- --steps 1 >/dev/null
+echo "== spp repro insight smoke (attribution campaign, 4 apps x 3 protocols, 1 step)"
+"$SPP" repro insight --steps 1 >/dev/null
 test -s target/repro/BENCH_insight.json
 grep -q '"passed": true' target/repro/BENCH_insight.json
 # Every one of the 12 cells must carry a passing partition check.
@@ -75,13 +78,13 @@ echo "   target/repro/BENCH_insight.json OK (every cell partitions, attribution 
 
 echo "== insight report determinism (two runs, byte-identical JSON)"
 cp target/repro/BENCH_insight.json target/repro/BENCH_insight.first.json
-cargo run --release -q -p spp-bench --bin repro-insight -- --steps 1 >/dev/null
+"$SPP" repro insight --steps 1 >/dev/null
 cmp target/repro/BENCH_insight.first.json target/repro/BENCH_insight.json
 rm -f target/repro/BENCH_insight.first.json
 echo "   BENCH_insight.json byte-identical across runs"
 
-echo "== repro-protocol smoke (DASH+SCI / MESI / Dragon x topology, 1 step)"
-cargo run --release -q -p spp-bench --bin repro-protocol -- --steps 1 >/dev/null
+echo "== spp repro protocol smoke (DASH+SCI / MESI / Dragon x topology, 1 step)"
+"$SPP" repro protocol --steps 1 >/dev/null
 test -s target/repro/BENCH_protocol.json
 grep -q '"experiment": "protocol"' target/repro/BENCH_protocol.json
 grep -q '"protocol": "dragon"' target/repro/BENCH_protocol.json
@@ -89,13 +92,13 @@ echo "   target/repro/BENCH_protocol.json OK"
 
 echo "== protocol report determinism (two runs, byte-identical JSON)"
 cp target/repro/BENCH_protocol.json target/repro/BENCH_protocol.first.json
-cargo run --release -q -p spp-bench --bin repro-protocol -- --steps 1 >/dev/null
+"$SPP" repro protocol --steps 1 >/dev/null
 cmp target/repro/BENCH_protocol.first.json target/repro/BENCH_protocol.json
 rm -f target/repro/BENCH_protocol.first.json
 echo "   BENCH_protocol.json byte-identical across runs"
 
-echo "== repro-recovery smoke (protocol x transient fault kind, bit-identical recovery)"
-cargo run --release -q -p spp-bench --bin repro-recovery -- --steps 1 >/dev/null
+echo "== spp repro recovery smoke (protocol x transient fault kind, bit-identical recovery)"
+"$SPP" repro recovery --steps 1 >/dev/null
 test -s target/repro/BENCH_recovery.json
 grep -q '"experiment": "recovery"' target/repro/BENCH_recovery.json
 grep -q '"passed": true' target/repro/BENCH_recovery.json
@@ -104,7 +107,7 @@ echo "   target/repro/BENCH_recovery.json OK (every cell recovered)"
 
 echo "== recovery report determinism (two runs, byte-identical JSON)"
 cp target/repro/BENCH_recovery.json target/repro/BENCH_recovery.first.json
-cargo run --release -q -p spp-bench --bin repro-recovery -- --steps 1 >/dev/null
+"$SPP" repro recovery --steps 1 >/dev/null
 cmp target/repro/BENCH_recovery.first.json target/repro/BENCH_recovery.json
 rm -f target/repro/BENCH_recovery.first.json
 echo "   BENCH_recovery.json byte-identical across runs"
@@ -114,23 +117,20 @@ echo "== recovery scenario matrix (one golden-pinned rollback cell per protocol)
 # (persistence 1.0), forcing checkpoint rollback-and-replay; the
 # golden counters are the fault-free numbers, so recovery must be
 # bit-identical and zero-cost, and every cell must actually roll back.
-SPP_REPRO_DIR=target/repro/recovery-matrix cargo run --release -q -p spp-bench --bin spp-scenario -- \
-  run --workers 3 scenarios/matrix/kernel-recover-dashsci.toml \
+SPP_REPRO_DIR=target/repro/recovery-matrix "$SPP" run --workers 3 scenarios/matrix/kernel-recover-dashsci.toml \
   scenarios/matrix/kernel-recover-mesi.toml scenarios/matrix/kernel-recover-dragon.toml >/dev/null
 grep -q '"all_as_expected": true' target/repro/recovery-matrix/BENCH_scenarios.json
 test "$(grep -c '"rollbacks": [1-9]' target/repro/recovery-matrix/BENCH_scenarios.json)" -eq 3
 echo "   all three protocols rolled back and matched their fault-free goldens"
 
 echo "== protocol scenario matrix (one golden-pinned cell per protocol)"
-SPP_REPRO_DIR=target/repro/protocol-matrix cargo run --release -q -p spp-bench --bin spp-scenario -- \
-  run --workers 3 scenarios/matrix/nbody-dashsci-32.toml \
+SPP_REPRO_DIR=target/repro/protocol-matrix "$SPP" run --workers 3 scenarios/matrix/nbody-dashsci-32.toml \
   scenarios/matrix/kernel-mesi-32.toml scenarios/matrix/fem-dragon-8.toml >/dev/null
 grep -q '"all_as_expected": true' target/repro/protocol-matrix/BENCH_scenarios.json
 echo "   all three protocols match their golden counters"
 
 echo "== scenario specs validate (every spec under scenarios/)"
-cargo run --release -q -p spp-bench --bin spp-scenario -- \
-  validate scenarios/experiments scenarios/matrix scenarios/ci scenarios/serve >/dev/null
+"$SPP" validate scenarios/experiments scenarios/matrix scenarios/ci scenarios/serve >/dev/null
 echo "   all specs parse and validate"
 
 echo "== scenario fleet smoke (contained panic + hang + golden mismatch)"
@@ -138,8 +138,7 @@ echo "== scenario fleet smoke (contained panic + hang + golden mismatch)"
 # cell, and a wrong-golden cell; the fleet must contain and classify
 # all three (their specs declare those outcomes, so exit code is 0)
 # and still write the report.
-SPP_REPRO_DIR=target/repro cargo run --release -q -p spp-bench --bin spp-scenario -- \
-  run --workers 4 scenarios/ci >/dev/null
+SPP_REPRO_DIR=target/repro "$SPP" run --workers 4 scenarios/ci >/dev/null
 test -s target/repro/BENCH_scenarios.json
 grep -q '"all_as_expected": true' target/repro/BENCH_scenarios.json
 grep -q '"name": "ci-panic", "status": "fail"' target/repro/BENCH_scenarios.json
@@ -153,15 +152,12 @@ echo "   panic/hang/golden-mismatch each contained and classified; heartbeats st
 
 echo "== scenario report determinism (two runs, byte-identical JSON)"
 cp target/repro/BENCH_scenarios.json target/repro/BENCH_scenarios.first.json
-SPP_REPRO_DIR=target/repro cargo run --release -q -p spp-bench --bin spp-scenario -- \
-  run --workers 2 scenarios/ci >/dev/null
+SPP_REPRO_DIR=target/repro "$SPP" run --workers 2 scenarios/ci >/dev/null
 cmp target/repro/BENCH_scenarios.first.json target/repro/BENCH_scenarios.json
 rm -f target/repro/BENCH_scenarios.first.json
 echo "   BENCH_scenarios.json byte-identical across runs and worker counts"
 
-echo "== spp-serve kill-torture (SIGKILL mid-flight, restart, byte-identical results)"
-cargo build --release -q -p spp-bench --bin spp-serve
-SERVE=target/release/spp-serve
+echo "== spp serve kill-torture (SIGKILL mid-flight, restart, byte-identical results)"
 SERVE_REF=target/repro/serve-ref
 SERVE_TOR=target/repro/serve-torture
 rm -rf "$SERVE_REF" "$SERVE_TOR"
@@ -172,23 +168,23 @@ wait_file() { # wait_file PATH — poll up to 15s for a non-empty file
 }
 
 # Reference: the same mixed batch run to completion, undisturbed.
-"$SERVE" serve --state-dir "$SERVE_REF" --workers 2 >/dev/null &
+"$SPP" serve --state-dir "$SERVE_REF" --workers 2 >/dev/null &
 SERVE_PID=$!
 wait_file "$SERVE_REF/endpoint"
-"$SERVE" submit --state-dir "$SERVE_REF" scenarios/serve/kernel-long.toml \
+"$SPP" submit --state-dir "$SERVE_REF" scenarios/serve/kernel-long.toml \
   scenarios/serve/kernel-short.toml scenarios/serve/noop-a.toml >/dev/null
-"$SERVE" drain --state-dir "$SERVE_REF" >/dev/null
+"$SPP" drain --state-dir "$SERVE_REF" >/dev/null
 for j in j1 j2 j3; do
-  "$SERVE" result --state-dir "$SERVE_REF" "$j" >"target/repro/serve-ref-$j.txt"
+  "$SPP" result --state-dir "$SERVE_REF" "$j" >"target/repro/serve-ref-$j.txt"
 done
-"$SERVE" shutdown --state-dir "$SERVE_REF" >/dev/null
+"$SPP" shutdown --state-dir "$SERVE_REF" >/dev/null
 wait "$SERVE_PID" 2>/dev/null || true
 
 # Torture: one worker, SIGKILL once the long job has checkpointed.
-"$SERVE" serve --state-dir "$SERVE_TOR" --workers 1 >/dev/null &
+"$SPP" serve --state-dir "$SERVE_TOR" --workers 1 >/dev/null &
 SERVE_PID=$!
 wait_file "$SERVE_TOR/endpoint"
-"$SERVE" submit --state-dir "$SERVE_TOR" scenarios/serve/kernel-long.toml \
+"$SPP" submit --state-dir "$SERVE_TOR" scenarios/serve/kernel-long.toml \
   scenarios/serve/kernel-short.toml scenarios/serve/noop-a.toml >/dev/null
 wait_file "$SERVE_TOR/checkpoints/j1.step"
 kill -9 "$SERVE_PID"
@@ -198,45 +194,45 @@ wait "$SERVE_PID" 2>/dev/null || true
 # the long job resumes from its snapshot, and every result must be
 # byte-identical to the undisturbed reference.
 rm -f "$SERVE_TOR/endpoint"
-"$SERVE" serve --state-dir "$SERVE_TOR" --workers 1 >/dev/null &
+"$SPP" serve --state-dir "$SERVE_TOR" --workers 1 >/dev/null &
 SERVE_PID=$!
 wait_file "$SERVE_TOR/endpoint"
-"$SERVE" health --state-dir "$SERVE_TOR" | grep -q '"interrupted_resumed": [1-9]'
-"$SERVE" drain --state-dir "$SERVE_TOR" >/dev/null
-"$SERVE" status --state-dir "$SERVE_TOR" j1 | grep -q '"resumed": true'
+"$SPP" health --state-dir "$SERVE_TOR" | grep -q '"interrupted_resumed": [1-9]'
+"$SPP" drain --state-dir "$SERVE_TOR" >/dev/null
+"$SPP" status --state-dir "$SERVE_TOR" j1 | grep -q '"resumed": true'
 for j in j1 j2 j3; do
-  "$SERVE" result --state-dir "$SERVE_TOR" "$j" >"target/repro/serve-tor-$j.txt"
+  "$SPP" result --state-dir "$SERVE_TOR" "$j" >"target/repro/serve-tor-$j.txt"
   cmp "target/repro/serve-ref-$j.txt" "target/repro/serve-tor-$j.txt"
 done
 # Resubmitting a finished spec is answered from the cache, not re-run.
-"$SERVE" submit --state-dir "$SERVE_TOR" scenarios/serve/kernel-long.toml \
+"$SPP" submit --state-dir "$SERVE_TOR" scenarios/serve/kernel-long.toml \
   | grep -q '"cached": true'
-"$SERVE" shutdown --state-dir "$SERVE_TOR" >/dev/null
+"$SPP" shutdown --state-dir "$SERVE_TOR" >/dev/null
 wait "$SERVE_PID" 2>/dev/null || true
 rm -f target/repro/serve-ref-j*.txt target/repro/serve-tor-j*.txt
 echo "   killed mid-run, resumed from checkpoint, results byte-identical, cache hit on repeat"
 
-echo "== spp-serve admission control (typed rejection under overload)"
+echo "== spp serve admission control (typed rejection under overload)"
 SERVE_TINY=target/repro/serve-tiny
 rm -rf "$SERVE_TINY"
 # A hang occupies the only worker (not checkpointable, so the later
 # high-priority arrival cannot preempt it, and the queue behind it
 # cannot drain — the rejections below are deterministic).
-"$SERVE" serve --state-dir "$SERVE_TINY" --workers 1 --lane-cap 1 --total-cap 2 >/dev/null &
+"$SPP" serve --state-dir "$SERVE_TINY" --workers 1 --lane-cap 1 --total-cap 2 >/dev/null &
 SERVE_PID=$!
 wait_file "$SERVE_TINY/endpoint"
-"$SERVE" submit --state-dir "$SERVE_TINY" scenarios/serve/hang-a.toml >/dev/null
+"$SPP" submit --state-dir "$SERVE_TINY" scenarios/serve/hang-a.toml >/dev/null
 for _ in $(seq 1 300); do
-  "$SERVE" status --state-dir "$SERVE_TINY" j1 | grep -q '"state": "running"' && break
+  "$SPP" status --state-dir "$SERVE_TINY" j1 | grep -q '"state": "running"' && break
   sleep 0.05
 done
-"$SERVE" submit --state-dir "$SERVE_TINY" scenarios/serve/kernel-short.toml >/dev/null
-("$SERVE" submit --state-dir "$SERVE_TINY" scenarios/serve/noop-a.toml || true) \
+"$SPP" submit --state-dir "$SERVE_TINY" scenarios/serve/kernel-short.toml >/dev/null
+("$SPP" submit --state-dir "$SERVE_TINY" scenarios/serve/noop-a.toml || true) \
   | grep -q '"error": "queue-full"'
-"$SERVE" submit --state-dir "$SERVE_TINY" --priority high scenarios/serve/hang-b.toml >/dev/null
-("$SERVE" submit --state-dir "$SERVE_TINY" --priority high scenarios/serve/noop-b.toml || true) \
+"$SPP" submit --state-dir "$SERVE_TINY" --priority high scenarios/serve/hang-b.toml >/dev/null
+("$SPP" submit --state-dir "$SERVE_TINY" --priority high scenarios/serve/noop-b.toml || true) \
   | grep -q '"error": "overloaded"'
-"$SERVE" shutdown --state-dir "$SERVE_TINY" >/dev/null
+"$SPP" shutdown --state-dir "$SERVE_TINY" >/dev/null
 wait "$SERVE_PID" 2>/dev/null || true
 echo "   queue-full and overloaded answered with typed rejections; no hang, no panic"
 

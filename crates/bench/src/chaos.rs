@@ -1,4 +1,4 @@
-//! Chaos campaign (`repro-chaos`): sweep seeds × fault intensities ×
+//! Chaos campaign (`spp repro chaos`): sweep seeds × fault intensities ×
 //! failure sites over the PIC, N-body, and FEM applications, running
 //! every cell under the coherence-invariant checker and a
 //! simulated-cycle watchdog. A failing cell's fault-event list is
@@ -7,23 +7,23 @@
 //! workload Y at seed Z" instead of a 40-cell wall of red.
 //!
 //! The campaign's machine-readable summary is `BENCH_chaos.json`
-//! (written by the `repro-chaos` binary under `target/repro`, or
-//! `SPP_REPRO_DIR`), following the `BENCH_repro.json` convention.
+//! (written by `spp repro chaos` under `target/repro`, or
+//! `SPP_REPRO_DIR`), following the `BENCH_*.json` convention.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::harness::panic_message;
 use crate::{emit, Opts, Table};
 use fem::{Coding, SharedFem};
 use nbody::{NbodyProblem, SharedNbody};
 use pic::{PicProblem, SharedPic};
+use spp_core::panic_message;
 use spp_core::{Cycles, FaultPlan, Machine, ProtocolKind, StallKind, Watchdog};
 use spp_runtime::{Placement, Runtime, Team};
 
 /// One injectable fault event of the campaign grid — the unit the
 /// shrinker removes when minimizing a failing plan. Now the shared
 /// [`spp_core::FaultEvent`] (the scenario engine's spec files and the
-/// `repro-faults` sweep build plans from the same type); the old
+/// `spp repro faults` sweep build plans from the same type); the old
 /// `ChaosEvent` name is kept as an alias.
 pub type ChaosEvent = spp_core::FaultEvent;
 
@@ -281,7 +281,7 @@ impl Campaign {
     }
 
     /// Machine-readable form (the `BENCH_chaos.json` ci.sh asserts on,
-    /// following the `BENCH_repro.json` convention). Event
+    /// following the `BENCH_*.json` convention). Event
     /// descriptions contain no characters needing JSON escaping.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -510,14 +510,14 @@ pub fn run_campaign(cells: &[Cell], steps: usize, full: bool) -> Campaign {
     }
 }
 
-/// Run the default campaign for `o` (used by the `repro-chaos` binary
+/// Run the default campaign for `o` (used by `spp repro chaos`
 /// and tests).
 pub fn campaign(o: &Opts) -> Campaign {
     run_campaign(&default_grid(o.full), o.steps, o.full)
 }
 
 /// Regenerate the chaos-campaign report. Writes `BENCH_chaos.json`
-/// so a `repro-all` or scenario-engine sweep leaves the same artifact
+/// so a `spp repro all` or scenario-engine sweep leaves the same artifact
 /// as the standalone binary, then panics when the campaign fails so
 /// the harness records a FAIL.
 pub fn run(o: &Opts) -> String {

@@ -1,4 +1,4 @@
-//! Fault-injection reproducibility (`repro-faults`): PIC and N-body
+//! Fault-injection reproducibility (`spp repro faults`): PIC and N-body
 //! under a seeded [`FaultPlan`] are bit-identical run to run, and the
 //! retry overhead the reliability layers pay scales with the injected
 //! fault rates. This is the demonstration that fault injection
@@ -135,8 +135,8 @@ pub fn determinism_sweep(steps: usize) -> Vec<CaseResult> {
 }
 
 /// Machine-readable form of the determinism sweep (the
-/// `BENCH_faults.json` the `repro-faults` binary writes under
-/// `target/repro`, following the `BENCH_repro.json` convention).
+/// `BENCH_faults.json` that `spp repro faults` writes under
+/// `target/repro`, following the `BENCH_*.json` convention).
 pub fn to_json(cases: &[CaseResult], steps: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
@@ -179,7 +179,7 @@ pub fn write_report(
 }
 
 /// Regenerate the fault-injection reproducibility report. Writes
-/// `BENCH_faults.json` so a `repro-all` or scenario-engine sweep
+/// `BENCH_faults.json` so a `spp repro all` or scenario-engine sweep
 /// leaves the same artifact as the standalone binary, then panics if
 /// any case was not bit-identical so the harness records a FAIL.
 pub fn run(o: &Opts) -> String {
@@ -197,7 +197,7 @@ pub fn run(o: &Opts) -> String {
 }
 
 /// Render the full report from an already-computed determinism sweep
-/// (lets the `repro-faults` binary print the tables and write the JSON
+/// (lets `spp repro faults` print the tables and write the JSON
 /// from one sweep).
 pub fn report(o: &Opts, cases: &[CaseResult]) -> String {
     let mut out = String::new();

@@ -1,4 +1,4 @@
-//! Cycle-attribution campaign (`repro-insight`): every shared-memory
+//! Cycle-attribution campaign (`spp repro insight`): every shared-memory
 //! application × every coherence protocol with the heatmap mounted,
 //! demonstrating
 //!

@@ -1,10 +1,11 @@
-//! # spp-bench — the experiment harness
+//! # spp-bench — the paper's experiments and the `spp` binary
 //!
 //! One module per paper artifact; each has a `run(&Opts) -> String`
 //! that regenerates the table/figure data (printing a side-by-side
 //! "paper" column where the paper gives numbers) and returns the
-//! formatted text. The `repro-*` binaries are thin wrappers;
-//! `repro-all` chains everything and is what EXPERIMENTS.md records.
+//! formatted text. [`scenario_cli::registry`] lists them all;
+//! `spp repro <id>` runs one and `spp repro all` runs every one, in
+//! registry order, and is what EXPERIMENTS.md records.
 
 #![warn(missing_docs)]
 
@@ -19,7 +20,6 @@ pub mod fig4;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod harness;
 pub mod insight;
 pub mod latency;
 pub mod protocol;
@@ -33,7 +33,7 @@ pub mod table2;
 pub mod trace;
 
 /// Schema version stamped into every `BENCH_*.json` this crate emits
-/// (`repro`, `faults`, `chaos`, `trace`, `race`); bump on breaking
+/// (`faults`, `chaos`, `trace`, `race`, …); bump on breaking
 /// layout changes so downstream tooling can dispatch.
 pub const BENCH_SCHEMA_VERSION: i64 = 1;
 
@@ -45,110 +45,10 @@ pub fn repro_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| std::path::PathBuf::from("target/repro"))
 }
 
-/// Which memory-port backend prices the backend-sensitive sweeps
-/// (see [`backend`]). The figure/table experiments always use the
-/// cycle-accurate machine: the paper anchors are properties of the
-/// cycle model, not of any analytic approximation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The cycle-accurate [`spp_core::Machine`] (default).
-    Cycle,
-    /// The analytic [`spp_core::FastPort`] hit/miss model; the
-    /// backend experiment asserts its counts stay within the
-    /// documented tolerance of the cycle-accurate run.
-    Fast,
-}
-
-impl Backend {
-    /// The command-line spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Cycle => "cycle",
-            Backend::Fast => "fast",
-        }
-    }
-}
-
-/// Harness options shared by all experiments.
-#[derive(Debug, Clone)]
-pub struct Opts {
-    /// Run paper-size workloads even where they are expensive
-    /// (notably the 2M-particle N-body). Off by default; the default
-    /// harness substitutes documented scaled sizes.
-    pub full: bool,
-    /// Measured steps per application configuration (after one
-    /// untimed warm-up step).
-    pub steps: usize,
-    /// Memory-port backend for the backend-sensitive sweeps.
-    pub backend: Backend,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Opts {
-            full: false,
-            steps: 2,
-            backend: Backend::Cycle,
-        }
-    }
-}
-
-impl Opts {
-    /// The usage text every `repro-*` binary prints on a bad command
-    /// line.
-    pub fn usage() -> &'static str {
-        "usage: repro-* [--full] [--steps N] [--backend cycle|fast]\n\
-         \x20 --full         run paper-size workloads (expensive)\n\
-         \x20 --steps N      measured steps per configuration (positive integer)\n\
-         \x20 --backend B    port backend for backend-sensitive sweeps:\n\
-         \x20                cycle (cycle-accurate, default) or fast (analytic\n\
-         \x20                hit/miss model, validated against cycle)"
-    }
-
-    /// Parse `--full` and `--steps N` from an argument list.
-    pub fn try_parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut o = Opts::default();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--full" => o.full = true,
-                "--steps" => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| "--steps needs a value".to_string())?;
-                    o.steps = v
-                        .parse()
-                        .map_err(|_| format!("--steps needs a positive integer, got {v:?}"))?;
-                    if o.steps == 0 {
-                        return Err("--steps must be at least 1".to_string());
-                    }
-                }
-                "--backend" => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| "--backend needs a value".to_string())?;
-                    o.backend = match v.as_str() {
-                        "cycle" => Backend::Cycle,
-                        "fast" => Backend::Fast,
-                        other => {
-                            return Err(format!("--backend must be cycle or fast, got {other:?}"))
-                        }
-                    };
-                }
-                other => return Err(format!("unknown argument {other}")),
-            }
-        }
-        Ok(o)
-    }
-
-    /// Parse the process arguments; on a bad command line print the
-    /// error plus [`Opts::usage`] and exit with status 2.
-    pub fn from_args() -> Self {
-        Self::try_parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{}", Self::usage());
-            std::process::exit(2);
-        })
-    }
-}
+/// The options every experiment's `run` takes; one type shared with
+/// the scenario engine, so each registry entry is the module's own
+/// `run` function.
+pub use spp_scenario::{Backend, ExperimentOpts as Opts};
 
 /// Minimal fixed-width table formatter (plain text, pasteable into
 /// markdown as a code block).
@@ -206,8 +106,8 @@ pub fn f(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 
-/// Print a section header and its content (used by every repro
-/// binary).
+/// Print a section header and its content (used by every
+/// experiment).
 pub fn emit(title: &str, body: &str) -> String {
     let bar = "=".repeat(title.len());
     let text = format!("\n{title}\n{bar}\n{body}");
@@ -242,49 +142,5 @@ mod tests {
     fn float_formatting() {
         assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(f(10.0, 1), "10.0");
-    }
-
-    #[test]
-    fn default_opts() {
-        let o = Opts::default();
-        assert!(!o.full);
-        assert_eq!(o.steps, 2);
-        assert_eq!(o.backend, Backend::Cycle);
-    }
-
-    fn parse(args: &[&str]) -> Result<Opts, String> {
-        Opts::try_parse(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn try_parse_accepts_supported_flags() {
-        let o = parse(&["--full", "--steps", "5"]).unwrap();
-        assert!(o.full);
-        assert_eq!(o.steps, 5);
-        assert!(!parse(&[]).unwrap().full);
-        assert_eq!(
-            parse(&["--backend", "fast"]).unwrap().backend,
-            Backend::Fast
-        );
-        assert_eq!(
-            parse(&["--backend", "cycle"]).unwrap().backend,
-            Backend::Cycle
-        );
-    }
-
-    #[test]
-    fn try_parse_rejects_bad_command_lines() {
-        assert!(parse(&["--bogus"])
-            .unwrap_err()
-            .contains("unknown argument"));
-        assert!(parse(&["--steps"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--steps", "x"])
-            .unwrap_err()
-            .contains("positive integer"));
-        assert!(parse(&["--steps", "0"]).unwrap_err().contains("at least 1"));
-        assert!(parse(&["--backend"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--backend", "slow"])
-            .unwrap_err()
-            .contains("cycle or fast"));
     }
 }

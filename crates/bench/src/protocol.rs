@@ -21,7 +21,7 @@
 //!
 //! The machine-readable summary is `BENCH_protocol.json` under
 //! `target/repro/` (override with `SPP_REPRO_DIR`), following the
-//! `BENCH_repro.json` convention. Every recorded quantity is an
+//! `BENCH_*.json` convention. Every recorded quantity is an
 //! integer produced by the deterministic simulator, so back-to-back
 //! runs are byte-identical — ci.sh double-runs the quick sweep and
 //! `cmp`s the JSON.

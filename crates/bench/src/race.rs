@@ -1,4 +1,4 @@
-//! Race campaign (`repro-race`): every application runs under the
+//! Race campaign (`spp repro race`): every application runs under the
 //! happens-before race detector (which must report zero races), and
 //! the fork/join replay order is fuzzed with seeded [`SchedulePolicy`]
 //! permutations — final memory state, results, and memory-system
@@ -11,18 +11,18 @@
 //! as a replayable artifact (`race_repro.json`).
 //!
 //! The campaign's machine-readable summary is `BENCH_race.json`
-//! (written by the `repro-race` binary under `target/repro`, or
-//! `SPP_REPRO_DIR`), following the `BENCH_repro.json` convention.
+//! (written by `spp repro race` under `target/repro`, or
+//! `SPP_REPRO_DIR`), following the `BENCH_*.json` convention.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::harness::panic_message;
 use crate::{emit, Opts, Table};
 use fem::{Coding, SharedFem};
 use nbody::{NbodyProblem, SharedNbody};
 use pic::{PicProblem, SharedPic};
 use ppm::{PpmProblem, SharedPpm};
 use proptest::racy;
+use spp_core::panic_message;
 use spp_core::{Machine, MemStats, RaceReport};
 use spp_runtime::{Placement, Runtime, SchedulePolicy, Team};
 
@@ -670,7 +670,7 @@ impl Campaign {
     }
 
     /// Machine-readable form (the `BENCH_race.json` ci.sh asserts on,
-    /// following the `BENCH_repro.json` convention).
+    /// following the `BENCH_*.json` convention).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!(
@@ -783,9 +783,9 @@ pub fn repro_dir() -> std::path::PathBuf {
     crate::repro_dir()
 }
 
-/// Experiment entry point (`repro-race`, and the `race` row of
-/// `repro-all`). Writes `BENCH_race.json` (plus `race_repro.json`
-/// when a reproducer was shrunk) so a `repro-all` sweep leaves the
+/// Experiment entry point (`spp repro race`, and the `race` row of
+/// `spp repro all`). Writes `BENCH_race.json` (plus `race_repro.json`
+/// when a reproducer was shrunk) so a `spp repro all` sweep leaves the
 /// same artifacts as the standalone binary, then panics when the
 /// campaign fails so the harness records a FAIL.
 pub fn run(o: &Opts) -> String {

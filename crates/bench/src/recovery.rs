@@ -1,4 +1,4 @@
-//! Self-healing coherence campaign (`repro-recovery`): sweep
+//! Self-healing coherence campaign (`spp repro recovery`): sweep
 //! protocol × transient-fault kind × intensity over the PIC, N-body,
 //! and FEM applications, and enforce the recovery contract in-run:
 //! a run that hits seeded transient coherence faults (dropped or
@@ -12,17 +12,17 @@
 //! shrinker to a minimal non-recovering plan.
 //!
 //! The machine-readable summary is `BENCH_recovery.json` (written by
-//! the `repro-recovery` binary under `target/repro`, or
+//! `spp repro recovery` under `target/repro`, or
 //! `SPP_REPRO_DIR`), integers only so two runs diff byte-for-byte.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::chaos::{shrink, Workload};
-use crate::harness::panic_message;
 use crate::{emit, Opts, Table};
 use fem::{Coding, SharedFem};
 use nbody::{NbodyProblem, SharedNbody};
 use pic::{PicProblem, SharedPic};
+use spp_core::panic_message;
 use spp_core::{Cycles, FaultEvent, FaultPlan, Machine, MemStats, ProtocolKind};
 use spp_runtime::{Placement, Runtime, Team};
 

@@ -1,92 +1,140 @@
-//! Glue between the experiment harness and the scenario engine.
+//! The experiment registry and the supervised runner behind `spp`.
 //!
-//! [`registry`] exposes every legacy experiment to `spp-scenario`'s
-//! fleet runner, so a TOML spec with `kind = "experiment"` dispatches
-//! to exactly the same `run(&Opts)` function the old `repro-*`
-//! binaries called — ported specs are bit-identical to the binaries
-//! by construction. [`run_single`] is what those binaries now are: a
-//! one-cell supervised fleet. [`fleet_main`] is the `spp-scenario`
-//! binary: validate and run whole spec matrices.
+//! [`registry`] is the one list of experiments. Each entry is the
+//! module's own `run(&Opts)`, so a `kind = "experiment"` spec,
+//! `spp repro <id>` and the `spp serve` job service all call exactly
+//! the same function. Every run goes through the scenario engine's
+//! supervised fleet: [`repro_main`] builds one experiment cell per
+//! requested id, and [`fleet_main`] validates or runs whole spec
+//! matrices.
 
-use crate::{Backend, Opts};
-use spp_scenario::{run_fleet, ExperimentOpts, FleetConfig, Registry, ScenarioKind, ScenarioSpec};
+use crate::Opts;
+use spp_scenario::{run_fleet, ExperimentFn, FleetConfig, Registry, ScenarioKind, ScenarioSpec};
 use std::path::{Path, PathBuf};
 
-fn opts_from(e: &ExperimentOpts) -> Opts {
-    Opts {
-        full: e.full,
-        steps: e.steps,
-        backend: match e.backend.as_str() {
-            "fast" => Backend::Fast,
-            _ => Backend::Cycle,
-        },
+/// Every experiment, in the order `spp repro all` runs them: the
+/// paper's memory latencies and primitives first (§6, Figs 2–4), then
+/// its applications (Tables 1–2, Figs 6–8), then the studies beyond
+/// the paper.
+pub fn registry() -> Registry {
+    let experiments: [(&str, ExperimentFn); 21] = [
+        ("latency", crate::latency::run),
+        ("fig2", crate::fig2::run),
+        ("fig3", crate::fig3::run),
+        ("fig4", crate::fig4::run),
+        ("table1", crate::table1::run),
+        ("table2", crate::table2::run),
+        ("fig7", crate::fig7::run),
+        ("fig6", crate::fig6::run),
+        ("fig8", crate::fig8::run),
+        ("scale", crate::scale::run),
+        ("cache", crate::cachestudy::run),
+        ("sensitivity", crate::sensitivity::run),
+        ("bus", crate::bus::run),
+        ("faults", crate::faults::run),
+        ("chaos", crate::chaos::run),
+        ("backend", crate::backend::run),
+        ("trace", crate::trace::run),
+        ("race", crate::race::run),
+        ("protocol", crate::protocol::run),
+        ("recovery", crate::recovery::run),
+        ("insight", crate::insight::run),
+    ];
+    let mut r = Registry::new();
+    for (id, run) in experiments {
+        r.register(id, run);
     }
+    r
 }
 
-macro_rules! experiment_adapters {
-    ($(($id:literal, $adapter:ident, $runner:path)),* $(,)?) => {
-        $(
-            fn $adapter(e: &ExperimentOpts) -> String {
-                $runner(&opts_from(e))
-            }
-        )*
-
-        /// Every legacy experiment, registered under its `repro-*`
-        /// name, in the canonical `repro-all` order.
-        pub fn registry() -> Registry {
-            let mut r = Registry::new();
-            $( r.register($id, $adapter); )*
-            r
+/// `spp repro <id>|all [--full] [--steps N] [--backend cycle|fast]`:
+/// run one registered experiment, or every one in registry order, as
+/// a supervised fleet with one worker. A panicking experiment is a
+/// contained FAIL and the sweep goes on. Reports land under `dir`
+/// (see [`run_and_report`]); the heartbeat stream's `end` event of a
+/// failed cell carries its error text, so even a sweep killed hard
+/// leaves a record of every finished cell. Returns the process exit
+/// code: 0 iff every cell passed, 2 on a bad command line.
+pub fn repro_main(args: &[String], registry: &Registry, dir: &Path) -> i32 {
+    let usage = || {
+        format!(
+            "{}\n  <id> is all or one of: {}",
+            Opts::usage(),
+            registry.ids().join(", ")
+        )
+    };
+    let Some((target, rest)) = args.split_first() else {
+        eprintln!("error: repro needs an experiment id\n{}", usage());
+        return 2;
+    };
+    let opts = match Opts::try_parse(rest.iter().cloned()) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("error: {e}\n{}", usage());
+            return 2;
         }
     };
+    let ids = match target.as_str() {
+        "all" => registry.ids(),
+        id if registry.get(id).is_some() => vec![id],
+        other => {
+            eprintln!("error: no experiment {other:?}\n{}", usage());
+            return 2;
+        }
+    };
+    let specs: Vec<ScenarioSpec> = ids
+        .into_iter()
+        .map(|id| {
+            let mut spec = ScenarioSpec::experiment(&format!("repro-{id}"), id);
+            if let ScenarioKind::Experiment(e) = &mut spec.kind {
+                e.opts = opts.clone();
+            }
+            spec
+        })
+        .collect();
+    run_and_report(&specs, registry, 1, None, dir)
 }
 
-experiment_adapters!(
-    ("latency", adapt_latency, crate::latency::run),
-    ("fig2", adapt_fig2, crate::fig2::run),
-    ("fig3", adapt_fig3, crate::fig3::run),
-    ("fig4", adapt_fig4, crate::fig4::run),
-    ("table1", adapt_table1, crate::table1::run),
-    ("table2", adapt_table2, crate::table2::run),
-    ("fig7", adapt_fig7, crate::fig7::run),
-    ("fig6", adapt_fig6, crate::fig6::run),
-    ("fig8", adapt_fig8, crate::fig8::run),
-    ("scale", adapt_scale, crate::scale::run),
-    ("cache", adapt_cache, crate::cachestudy::run),
-    ("sensitivity", adapt_sensitivity, crate::sensitivity::run),
-    ("bus", adapt_bus, crate::bus::run),
-    ("faults", adapt_faults, crate::faults::run),
-    ("chaos", adapt_chaos, crate::chaos::run),
-    ("backend", adapt_backend, crate::backend::run),
-    ("trace", adapt_trace, crate::trace::run),
-    ("race", adapt_race, crate::race::run),
-    ("protocol", adapt_protocol, crate::protocol::run),
-    ("recovery", adapt_recovery, crate::recovery::run),
-    ("insight", adapt_insight, crate::insight::run),
-);
-
-/// Entry point of every `repro-*` binary: run one experiment as a
-/// one-cell supervised fleet. Parses the historical
-/// `[--full] [--steps N] [--backend cycle|fast]` command line, so the
-/// binaries keep their interface while the engine supplies crash
-/// containment and reporting. Returns the process exit code.
-pub fn run_single(id: &str) -> i32 {
-    let opts = Opts::from_args();
-    let mut spec = ScenarioSpec::experiment(&format!("repro-{id}"), id);
-    if let ScenarioKind::Experiment(ref mut e) = spec.kind {
-        e.full = opts.full;
-        e.steps = opts.steps;
-        e.backend = opts.backend.name().to_string();
-    }
-    let report = run_fleet(
-        &[spec],
-        &registry(),
-        &FleetConfig {
-            workers: 1,
-            ..FleetConfig::default()
-        },
-    );
+/// Run `specs` under the supervised fleet and write its reports under
+/// `dir`: `BENCH_scenarios.json` and `scenarios_summary.txt` when the
+/// fleet ends, `scenarios_heartbeat.jsonl` live as cells start and
+/// end. Returns 0 iff every cell's outcome matched its spec's
+/// declared `expect`, else 1.
+pub fn run_and_report(
+    specs: &[ScenarioSpec],
+    registry: &Registry,
+    workers: usize,
+    max_timeout_secs: Option<f64>,
+    dir: &Path,
+) -> i32 {
+    // Live telemetry: the fleet streams per-cell lifecycle heartbeats
+    // as it runs, so `tail -f` shows progress long before the
+    // deterministic reports land.
+    let cfg = FleetConfig {
+        workers,
+        checkpoint_dir: Some(dir.join("checkpoints")),
+        max_timeout_secs,
+        heartbeat_path: Some(dir.join("scenarios_heartbeat.jsonl")),
+    };
+    let report = run_fleet(specs, registry, &cfg);
     print!("{}", report.render());
+    // Atomic temp-file + rename: a crash mid-write leaves the
+    // previous report intact, never a torn one.
+    if let Err(e) = std::fs::create_dir_all(dir)
+        .and_then(|()| {
+            spp_core::atomic_write_str(&dir.join("BENCH_scenarios.json"), &report.to_json())
+        })
+        .and_then(|()| {
+            spp_core::atomic_write_str(&dir.join("scenarios_summary.txt"), &report.render())
+        })
+    {
+        eprintln!("[could not write reports under {}: {e}]", dir.display());
+    } else {
+        println!(
+            "[reports written to {}]",
+            dir.join("BENCH_scenarios.json").display()
+        );
+    }
     i32::from(!report.all_as_expected())
 }
 
@@ -165,7 +213,7 @@ pub fn load_specs(paths: &[PathBuf]) -> Result<Vec<ScenarioSpec>, String> {
     }
 }
 
-const FLEET_USAGE: &str = "usage: spp-scenario <command> [options] <spec.toml|dir>...\n\
+const FLEET_USAGE: &str = "usage: spp run|validate [options] <spec.toml|dir>...\n\
      \x20 validate             parse + validate specs, print the matrix, run nothing\n\
      \x20 run                  execute the matrix under the supervised fleet\n\
      \x20   --workers N        host worker threads (default 4)\n\
@@ -174,10 +222,11 @@ const FLEET_USAGE: &str = "usage: spp-scenario <command> [options] <spec.toml|di
      \x20 BENCH_scenarios.json + scenarios_summary.txt, always written,\n\
      \x20 even when cells panic, hang, or diverge";
 
-/// The `spp-scenario` binary: `validate` or `run` a spec matrix.
-/// Returns the process exit code — for `run`, zero iff every cell's
-/// outcome matched its spec's declared `expect`.
-pub fn fleet_main(args: &[String]) -> i32 {
+/// `spp validate` and `spp run`: validate or run a spec matrix
+/// (`args[0]` is the verb). Returns the process exit code — for
+/// `run`, zero iff every cell's outcome matched its spec's declared
+/// `expect`.
+pub fn fleet_main(args: &[String], registry: &Registry) -> i32 {
     let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{FLEET_USAGE}");
         return 2;
@@ -252,36 +301,7 @@ pub fn fleet_main(args: &[String]) -> i32 {
                     return 2;
                 }
             };
-            let dir = crate::repro_dir();
-            // Live telemetry: the fleet streams per-cell lifecycle
-            // heartbeats as it runs, so `tail -f` shows progress long
-            // before the deterministic reports land.
-            let cfg = FleetConfig {
-                workers,
-                checkpoint_dir: Some(dir.join("checkpoints")),
-                max_timeout_secs: max_timeout,
-                heartbeat_path: Some(dir.join("scenarios_heartbeat.jsonl")),
-            };
-            let report = run_fleet(&specs, &registry(), &cfg);
-            print!("{}", report.render());
-            // Atomic temp-file + rename: a crash mid-write leaves the
-            // previous report intact, never a torn one.
-            if let Err(e) = std::fs::create_dir_all(&dir)
-                .and_then(|()| {
-                    spp_core::atomic_write_str(&dir.join("BENCH_scenarios.json"), &report.to_json())
-                })
-                .and_then(|()| {
-                    spp_core::atomic_write_str(&dir.join("scenarios_summary.txt"), &report.render())
-                })
-            {
-                eprintln!("[could not write reports under {}: {e}]", dir.display());
-            } else {
-                println!(
-                    "[reports written to {}]",
-                    dir.join("BENCH_scenarios.json").display()
-                );
-            }
-            i32::from(!report.all_as_expected())
+            run_and_report(&specs, registry, workers, max_timeout, &crate::repro_dir())
         }
         other => {
             eprintln!("error: unknown command {other:?}\n{FLEET_USAGE}");
@@ -302,16 +322,104 @@ mod tests {
     }
 
     #[test]
-    fn the_registry_covers_every_canonical_experiment_plus_chaos() {
-        let reg = registry();
-        let mut expected: Vec<&str> = crate::harness::all_experiments()
-            .iter()
-            .map(|e| e.name)
+    fn the_registry_and_the_experiment_specs_list_the_same_ids() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/experiments");
+        let paths = collect_spec_paths(&[dir.to_string_lossy().into_owned()]).unwrap();
+        let spec_ids: std::collections::BTreeSet<String> = load_specs(&paths)
+            .unwrap()
+            .into_iter()
+            .filter_map(|s| match s.kind {
+                ScenarioKind::Experiment(e) => Some(e.id),
+                _ => None,
+            })
             .collect();
-        expected.push("chaos");
-        for name in expected {
-            assert!(reg.get(name).is_some(), "{name} missing from the registry");
-        }
+        let registered: std::collections::BTreeSet<String> =
+            registry().ids().into_iter().map(String::from).collect();
+        assert_eq!(registered, spec_ids);
+    }
+
+    fn ok_run(_: &Opts) -> String {
+        "fine".to_string()
+    }
+
+    fn panicking_run(_: &Opts) -> String {
+        panic!("injected failure for the sweep test");
+    }
+
+    fn sweep_registry() -> Registry {
+        let mut r = Registry::new();
+        r.register("first", ok_run);
+        r.register("broken", panicking_run);
+        r.register("last", ok_run);
+        r
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn a_panicking_experiment_does_not_stop_the_sweep() {
+        let d = tempdir("repro-all");
+        let code = repro_main(&strings(&["all", "--steps", "1"]), &sweep_registry(), &d);
+        assert_eq!(code, 1, "a failed cell fails the sweep");
+
+        let json =
+            spp_serve::parse(&std::fs::read_to_string(d.join("BENCH_scenarios.json")).unwrap())
+                .unwrap();
+        let Some(spp_serve::Json::Arr(results)) = json.get("results") else {
+            panic!("no results array: {json:?}");
+        };
+        let rows: Vec<(&str, &str)> = results
+            .iter()
+            .map(|r| (r.str_field("name").unwrap(), r.str_field("status").unwrap()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("repro-first", "pass"),
+                ("repro-broken", "fail"),
+                ("repro-last", "pass")
+            ],
+            "all three run, in registry order, past the failure"
+        );
+        assert!(std::fs::read_to_string(d.join("scenarios_summary.txt"))
+            .unwrap()
+            .contains("UNEXPECTED OUTCOMES"));
+
+        // The heartbeat stream is the kill-safe record: each finished
+        // cell's `end` event is on disk as soon as the cell ends, and a
+        // failed cell's carries its error text.
+        let beats = spp_scenario::read_heartbeat_stream(&d.join("scenarios_heartbeat.jsonl"))
+            .unwrap()
+            .lines;
+        let ends: Vec<spp_serve::Json> = beats
+            .iter()
+            .map(|l| spp_serve::parse(l).unwrap())
+            .filter(|b| b.str_field("event") == Some("end"))
+            .collect();
+        assert_eq!(ends.len(), 3);
+        assert_eq!(ends[1].str_field("cell"), Some("repro-broken"));
+        assert!(
+            ends[1]
+                .str_field("error")
+                .is_some_and(|e| e.contains("injected failure")),
+            "{:?}",
+            ends[1]
+        );
+        assert_eq!(ends[0].get("error"), None);
+        assert_eq!(ends[2].get("error"), None);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn repro_runs_one_id_alone() {
+        let d = tempdir("repro-one");
+        assert_eq!(repro_main(&strings(&["last"]), &sweep_registry(), &d), 0);
+        let json = std::fs::read_to_string(d.join("BENCH_scenarios.json")).unwrap();
+        assert!(json.contains("\"total\": 1, \"pass\": 1"), "{json}");
+        assert_eq!(repro_main(&strings(&["broken"]), &sweep_registry(), &d), 1);
+        let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Trace/observability study (`repro-trace`): small PIC and N-body
+//! Trace/observability study (`spp repro trace`): small PIC and N-body
 //! runs with the event tracer mounted, demonstrating
 //!
 //! * **determinism** — the same workload traced twice produces a
@@ -189,7 +189,7 @@ pub fn overhead_study(reps: usize) -> OverheadStudy {
     }
 }
 
-/// The full study one `repro-trace` invocation performs: both
+/// The full study one `spp repro trace` invocation performs: both
 /// workloads traced twice (for the determinism check) plus the
 /// overhead sweep.
 pub struct TraceReport {
@@ -232,7 +232,7 @@ pub fn study(steps: usize) -> TraceReport {
     }
 }
 
-/// Machine-readable form (the `BENCH_trace.json` the `repro-trace`
+/// Machine-readable form (the `BENCH_trace.json` the `spp repro trace`
 /// binary writes under `target/repro`).
 pub fn to_json(rep: &TraceReport, steps: usize) -> String {
     let mut out = String::from("{\n");
@@ -307,7 +307,7 @@ pub fn write_report(
 }
 
 /// Regenerate the observability report. Writes `BENCH_trace.json`
-/// plus the Perfetto timelines so a `repro-all` or scenario-engine
+/// plus the Perfetto timelines so a `spp repro all` or scenario-engine
 /// sweep leaves the same artifacts as the standalone binary, then
 /// panics if any invariant failed so the harness records a FAIL.
 pub fn run(o: &Opts) -> String {
@@ -321,8 +321,8 @@ pub fn run(o: &Opts) -> String {
     text
 }
 
-/// Render the report from an already-computed study (lets the
-/// `repro-trace` binary print and write from one study).
+/// Render the report from an already-computed study (lets
+/// `spp repro trace` print and write from one study).
 pub fn report(_o: &Opts, rep: &TraceReport) -> String {
     let mut out = String::new();
 

@@ -1,12 +1,11 @@
-//! Ported-experiment parity: a `kind = "experiment"` scenario cell
-//! dispatches to exactly the same runner function the legacy
-//! `repro-*` binary called, so its report text is bit-identical to a
-//! direct module invocation — the porting satellite's acceptance
-//! criterion, checked here on the cheap experiments.
+//! Registry parity: a `kind = "experiment"` scenario cell (and so
+//! `spp repro <id>`) dispatches to exactly the experiment module's
+//! own `run` function, so its report text is bit-identical to a
+//! direct module invocation — checked here on the cheap experiments.
 
 use spp_bench::scenario_cli::registry;
 use spp_bench::{Backend, Opts};
-use spp_scenario::{run_fleet, ExperimentOpts, FleetConfig, ScenarioSpec, Status};
+use spp_scenario::{run_fleet, FleetConfig, ScenarioSpec, Status};
 
 fn opts(steps: usize) -> Opts {
     Opts {
@@ -16,20 +15,12 @@ fn opts(steps: usize) -> Opts {
     }
 }
 
-fn eopts(steps: usize) -> ExperimentOpts {
-    ExperimentOpts {
-        full: false,
-        steps,
-        backend: "cycle".into(),
-    }
-}
-
 type DirectRunner = fn(&Opts) -> String;
 
 #[test]
 fn registry_dispatch_is_bit_identical_to_direct_module_calls() {
-    // (id, direct runner) pairs for the cheap experiments; the
-    // registry adapter must reproduce their output byte for byte.
+    // (id, direct runner) pairs for the cheap experiments; dispatch
+    // through the registry must reproduce their output byte for byte.
     let cases: [(&str, DirectRunner); 3] = [
         ("latency", spp_bench::latency::run),
         ("fig2", spp_bench::fig2::run),
@@ -37,13 +28,13 @@ fn registry_dispatch_is_bit_identical_to_direct_module_calls() {
     ];
     let reg = registry();
     for (id, direct) in cases {
-        let adapter = reg.get(id).unwrap_or_else(|| panic!("{id} not registered"));
-        let via_engine = adapter(&eopts(2));
+        let registered = reg.get(id).unwrap_or_else(|| panic!("{id} not registered"));
+        let via_engine = registered(&opts(2));
         let direct_out = direct(&opts(2));
         assert_eq!(via_engine, direct_out, "{id}: engine output diverged");
         assert!(!direct_out.is_empty(), "{id}: empty report");
         // Determinism across invocations, not just across call paths.
-        assert_eq!(adapter(&eopts(2)), via_engine, "{id}: non-deterministic");
+        assert_eq!(registered(&opts(2)), via_engine, "{id}: non-deterministic");
     }
 }
 

@@ -19,7 +19,7 @@
 //! cross-CPU invalidations (a re-read the cycle model counts as a
 //! miss can count as a hit here), GCB hits (counted as plain local
 //! misses here since there is no GCB), and cache-to-cache supplies.
-//! The backend-validation experiment (`repro-all --backend fast`)
+//! The backend-validation experiment (`spp repro all --backend fast`)
 //! asserts total hit and miss counts stay within 10% of the
 //! cycle-accurate backend on the workloads it sweeps.
 

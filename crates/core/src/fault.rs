@@ -26,7 +26,7 @@
 //! n)`. Streams are therefore independent of how events at different
 //! sites interleave, so a fixed seed reproduces the exact same fault
 //! schedule — and bit-identical simulation results — on every run
-//! (`repro-faults` demonstrates this for PIC and N-body). The plan
+//! (`spp repro faults` demonstrates this for PIC and N-body). The plan
 //! never consults wall-clock time or OS randomness.
 //!
 //! Beyond the transient sites, a plan may schedule **hard failures**
@@ -413,7 +413,7 @@ impl FaultPlan {
     }
 
     /// A plan exercising every fault class at modest rates — the
-    /// default schedule `repro-faults` and the robustness tests use.
+    /// default schedule `spp repro faults` and the robustness tests use.
     pub fn standard(seed: u64) -> Self {
         Self::new(seed)
             .with_ring_stalls(0.02, us_to_cycles(5.0))

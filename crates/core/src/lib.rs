@@ -81,7 +81,7 @@ pub use protocol::{CoherenceProtocol, DashSci, Dragon, Mesi, ProtocolKind};
 pub use race::{RaceEvent, RaceFinding, RaceKind, RaceReport, RaceSink, SharingWarning};
 pub use snapshot::Snapshot;
 pub use stats::MemStats;
-pub use trace::{MissKind, NullSink, RingSink, TraceEvent, TraceRecord, TraceSink};
+pub use trace::{json_escape, MissKind, NullSink, RingSink, TraceEvent, TraceRecord, TraceSink};
 pub use traceport::{Trace, TracePort};
 pub use watchdog::{
     panic_message, retry_backoff, CancelToken, HostSupervisor, StallKind, Supervised, Watchdog,

@@ -1269,7 +1269,7 @@ impl Machine {
     /// state: every cache's valid lines, each hypernode directory,
     /// the SCI reference trees, the GCBs, and the snoop filter. Two
     /// machines with bit-identical coherence state digest equal; the
-    /// `repro-recovery` experiment uses this to prove a recovered run
+    /// `spp repro recovery` experiment uses this to prove a recovered run
     /// converged to the fault-free run's exact final state.
     pub fn coherence_digest(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -160,7 +160,7 @@ impl MemStats {
     /// Equality modulo the recovery counters. A run that injected and
     /// repaired transient coherence faults must end with every *other*
     /// counter bit-identical to the fault-free run — the recovery
-    /// bit-identity invariant `repro-recovery` and the recovering
+    /// bit-identity invariant `spp repro recovery` and the recovering
     /// scenario goldens enforce.
     pub fn eq_modulo_recovery(&self, other: &MemStats) -> bool {
         let scrub = |s: &MemStats| MemStats {

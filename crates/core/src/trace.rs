@@ -31,7 +31,7 @@
 //! fast path is untouched for the hit-priced remainder of each line,
 //! so simulated cycle counts are bit-identical with tracing on or off
 //! and host-time overhead with tracing off is below the noise floor
-//! (`repro-trace` measures it).
+//! (`spp repro trace` measures it).
 
 use crate::config::NodeId;
 use crate::fault::HardFault;

@@ -26,7 +26,7 @@ use spp_core::{
 /// The simulator executes bodies *sequentially* (deterministic trace
 /// interleaving, DESIGN.md §2), and a correct data-parallel program's
 /// results must not depend on that order. This policy makes the order
-/// pluggable so the schedule-permutation fuzzer (`repro-race` in
+/// pluggable so the schedule-permutation fuzzer (`spp repro race` in
 /// spp-bench) can sweep it: [`SchedulePolicy::Identity`] — the default
 /// — replays tids in `0..n` order and is bit-identical to the
 /// historical behavior; the other variants permute the replay while

@@ -96,7 +96,7 @@ impl Profile {
     }
 
     /// True when every [`Profile::enter`] has a matching
-    /// [`Profile::exit`] — the span-nesting invariant `repro-trace`
+    /// [`Profile::exit`] — the span-nesting invariant `spp repro trace`
     /// asserts.
     pub fn balanced(&self) -> bool {
         self.path.is_empty()

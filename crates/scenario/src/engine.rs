@@ -20,9 +20,11 @@
 //! order and host wall-clock times are kept out of it — so CI can
 //! diff two runs byte-for-byte.
 
-use crate::spec::{Expectation, GoldenSpec, ScenarioKind, ScenarioSpec};
+use crate::spec::{Expectation, ExperimentOpts, GoldenSpec, ScenarioKind, ScenarioSpec};
 use crate::workload::{run_builtin, run_workload, CheckpointPaths, WorkloadOutcome};
-use spp_core::{CancelToken, HostSupervisor, JsonlAppender, JsonlRead, MemStats, Supervised};
+use spp_core::{
+    json_escape, CancelToken, HostSupervisor, JsonlAppender, JsonlRead, MemStats, Supervised,
+};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -31,22 +33,10 @@ use std::time::{Duration, Instant};
 /// Report schema of `BENCH_scenarios.json`.
 pub const REPORT_SCHEMA: i64 = 1;
 
-/// A registered experiment runner: the legacy harness experiments are
-/// injected by the caller (the bench crate) so the engine does not
-/// depend on them.
+/// A registered experiment runner: the experiments are injected by
+/// the caller (the bench crate) so the engine does not depend on
+/// them.
 pub type ExperimentFn = fn(&ExperimentOpts) -> String;
-
-/// The knobs an experiment-kind scenario forwards to its runner
-/// (mirrors the bench harness `Opts` without depending on it).
-#[derive(Debug, Clone)]
-pub struct ExperimentOpts {
-    /// Paper-size workloads.
-    pub full: bool,
-    /// Measured steps per configuration.
-    pub steps: usize,
-    /// Port backend (`"cycle"` or `"fast"`).
-    pub backend: String,
-}
 
 /// The experiment registry: ordered `(id, runner)` pairs.
 #[derive(Default)]
@@ -224,30 +214,26 @@ impl HeartbeatLog {
         retries: u32,
         progress: u64,
         quarantined: Option<bool>,
+        error: Option<&str>,
     ) {
         let wall_ms = self.t0.elapsed().as_millis();
         let mut line = format!(
             "{{\"cell\": \"{}\", \"event\": \"{event}\", \"state\": \"{state}\", \
              \"attempt\": {attempt}, \"retries\": {retries}, \
              \"progress_cycles\": {progress}, \"wall_ms\": {wall_ms}",
-            esc(cell)
+            json_escape(cell)
         );
         if let Some(q) = quarantined {
             line.push_str(&format!(", \"quarantined\": {q}"));
+        }
+        if let Some(e) = error {
+            line.push_str(&format!(", \"error\": \"{}\"", json_escape(e)));
         }
         line.push('}');
         if let Ok(mut f) = self.file.lock() {
             let _ = f.append(&line);
         }
     }
-}
-
-/// Minimal JSON string escaping shared by the report and the
-/// heartbeat stream.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 fn golden_diffs(golden: &GoldenSpec, out: &WorkloadOutcome) -> Vec<(String, u64, u64)> {
@@ -305,14 +291,7 @@ pub fn run_attempt(
                     None,
                 );
             };
-            Some((
-                f,
-                ExperimentOpts {
-                    full: e.full,
-                    steps: e.steps,
-                    backend: e.backend.clone(),
-                },
-            ))
+            Some((f, e.opts.clone()))
         }
         _ => None,
     };
@@ -423,7 +402,7 @@ fn run_cell(
         None,
     );
     if let Some(hb) = heartbeat {
-        hb.emit(&spec.name, "start", "running", 1, 0, 0, None);
+        hb.emit(&spec.name, "start", "running", 1, 0, 0, None, None);
     }
     while attempts <= spec.retries {
         if attempts > 0 {
@@ -458,6 +437,7 @@ fn run_cell(
                             attempts - 1,
                             progress,
                             None,
+                            None,
                         );
                     }
                 }
@@ -481,6 +461,10 @@ fn run_cell(
             attempts - 1,
             progress,
             Some(quarantined),
+            match &status {
+                Status::Fail { error } => Some(error.as_str()),
+                _ => None,
+            },
         );
     }
     ScenarioResult {
@@ -597,7 +581,7 @@ impl FleetReport {
         s.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", esc(&r.name)));
+            s.push_str(&format!("\"name\": \"{}\", ", json_escape(&r.name)));
             s.push_str(&format!("\"status\": \"{}\", ", r.status.label()));
             s.push_str(&format!("\"attempts\": {}, ", r.attempts));
             s.push_str(&format!("\"as_expected\": {}, ", r.as_expected));
@@ -605,7 +589,7 @@ impl FleetReport {
             s.push_str(&format!("\"resumed\": {}", r.resumed));
             match &r.status {
                 Status::Fail { error } => {
-                    s.push_str(&format!(", \"error\": \"{}\"", esc(error)));
+                    s.push_str(&format!(", \"error\": \"{}\"", json_escape(error)));
                 }
                 Status::GoldenMismatch { diffs } => {
                     s.push_str(", \"golden_diffs\": [");
@@ -810,9 +794,50 @@ mod tests {
         assert!(end.contains("\"state\": \"fail\""), "{end}");
         assert!(end.contains("\"retries\": 2"), "{end}");
         assert!(end.contains("\"quarantined\": true"), "{end}");
+        // A failed cell's end event carries its error text; others
+        // carry none.
+        assert!(
+            end.contains("\"error\": \"") && end.contains("always"),
+            "{end}"
+        );
+        assert!(!of("nop", "end")[0].contains("\"error\""), "{stream}");
         // The workload published its simulated clock on the way out.
         let kend = of("k64", "end")[0];
         assert!(!kend.contains("\"progress_cycles\": 0,"), "{kend}");
+        std::fs::remove_file(&hb_path).unwrap();
+    }
+
+    #[test]
+    fn control_characters_in_errors_never_reach_a_report_raw() {
+        let dir = std::env::temp_dir().join("spp-scenario-escape-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let hb_path = dir.join("heartbeat.jsonl");
+        let mut cell = ScenarioSpec::builtin(
+            "ctl",
+            BuiltinOp::Panic {
+                message: "tab\there, start-of-heading \u{1}".into(),
+            },
+        );
+        cell.expect = Expectation::Fail;
+        let cfg = FleetConfig {
+            heartbeat_path: Some(hb_path.clone()),
+            ..FleetConfig::default()
+        };
+        let json = run_fleet(&[cell], &Registry::new(), &cfg).to_json();
+        let stream = std::fs::read_to_string(&hb_path).unwrap();
+        assert!(
+            json.contains("tab\\there, start-of-heading \\u0001"),
+            "{json}"
+        );
+        assert!(
+            stream.contains("tab\\there, start-of-heading \\u0001"),
+            "{stream}"
+        );
+        // Newlines separate records and fields; no other byte below
+        // 0x20 may appear, so none sits raw inside a string.
+        for doc in [&json, &stream] {
+            assert!(doc.bytes().all(|b| b >= 0x20 || b == b'\n'), "{doc:?}");
+        }
         std::fs::remove_file(&hb_path).unwrap();
     }
 

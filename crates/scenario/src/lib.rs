@@ -3,7 +3,7 @@
 //! The evaluation matrix of this repo — which application, on which
 //! topology, under which fault plan, with which schedule and
 //! placement, gated against which golden counters — used to live as
-//! hand-rolled `repro-*` binaries. This crate turns each cell into a
+//! hand-rolled per-experiment binaries. This crate turns each cell into a
 //! **declarative TOML spec** ([`spec`]) and runs matrices of them
 //! under a **supervised fleet** ([`engine`]):
 //!
@@ -44,11 +44,12 @@ pub mod toml;
 pub mod workload;
 
 pub use engine::{
-    read_heartbeat_stream, run_attempt, run_fleet, ExperimentFn, ExperimentOpts, FleetConfig,
-    FleetReport, Registry, ScenarioResult, Status, REPORT_SCHEMA,
+    read_heartbeat_stream, run_attempt, run_fleet, ExperimentFn, FleetConfig, FleetReport,
+    Registry, ScenarioResult, Status, REPORT_SCHEMA,
 };
 pub use spec::{
-    BuiltinOp, Expectation, ExperimentSpec, GoldenSpec, PlacementPolicy, ScenarioKind,
-    ScenarioSpec, SchedulePolicySpec, SpecError, WorkloadApp, WorkloadSpec, SPEC_SCHEMA,
+    Backend, BuiltinOp, Expectation, ExperimentOpts, ExperimentSpec, GoldenSpec, PlacementPolicy,
+    ScenarioKind, ScenarioSpec, SchedulePolicySpec, SpecError, WorkloadApp, WorkloadSpec,
+    SPEC_SCHEMA,
 };
 pub use workload::{run_builtin, run_workload, CheckpointPaths, WorkloadOutcome};

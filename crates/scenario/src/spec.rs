@@ -50,12 +50,109 @@ pub enum ScenarioKind {
 pub struct ExperimentSpec {
     /// Registered experiment id (`"fig2"`, `"latency"`, …).
     pub id: String,
-    /// Run paper-size workloads (the harness `--full` flag).
+    /// The options the experiment's `run` function receives.
+    pub opts: ExperimentOpts,
+}
+
+/// Which memory-port backend prices the backend-sensitive sweeps.
+/// The figure/table experiments always use the cycle-accurate
+/// machine: the paper anchors are properties of the cycle model, not
+/// of any analytic approximation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The cycle-accurate [`spp_core::Machine`] (default).
+    Cycle,
+    /// The analytic [`spp_core::FastPort`] hit/miss model; the
+    /// backend experiment asserts its counts stay within the
+    /// documented tolerance of the cycle-accurate run.
+    Fast,
+}
+
+impl Backend {
+    /// The command-line and TOML spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Cycle => "cycle",
+            Backend::Fast => "fast",
+        }
+    }
+
+    /// Parse [`Backend::name`]'s spelling back.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "cycle" => Ok(Backend::Cycle),
+            "fast" => Ok(Backend::Fast),
+            other => Err(format!("backend must be cycle or fast, got {other:?}")),
+        }
+    }
+}
+
+/// The options every experiment's `run` function takes: the
+/// `[experiment]` section of a spec and the `spp repro` command line
+/// both parse into this one type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExperimentOpts {
+    /// Run paper-size workloads even where they are expensive
+    /// (notably the 2M-particle N-body). Off by default; the default
+    /// sweep substitutes documented scaled sizes.
     pub full: bool,
-    /// Measured steps per configuration (the harness `--steps` flag).
+    /// Measured steps per application configuration (after one
+    /// untimed warm-up step).
     pub steps: usize,
-    /// Port backend (`"cycle"` or `"fast"`).
-    pub backend: String,
+    /// Memory-port backend for the backend-sensitive sweeps.
+    pub backend: Backend,
+}
+
+impl Default for ExperimentOpts {
+    fn default() -> Self {
+        ExperimentOpts {
+            full: false,
+            steps: 2,
+            backend: Backend::Cycle,
+        }
+    }
+}
+
+impl ExperimentOpts {
+    /// The usage text `spp repro` prints on a bad command line.
+    pub fn usage() -> &'static str {
+        "usage: spp repro <id>|all [--full] [--steps N] [--backend cycle|fast]\n\
+         \x20 --full         run paper-size workloads (expensive)\n\
+         \x20 --steps N      measured steps per configuration (positive integer)\n\
+         \x20 --backend B    port backend for backend-sensitive sweeps:\n\
+         \x20                cycle (cycle-accurate, default) or fast (analytic\n\
+         \x20                hit/miss model, validated against cycle)"
+    }
+
+    /// Parse `--full`, `--steps N` and `--backend B` from an argument
+    /// list.
+    pub fn try_parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut o = ExperimentOpts::default();
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--full" => o.full = true,
+                "--steps" => {
+                    let v = args
+                        .next()
+                        .ok_or_else(|| "--steps needs a value".to_string())?;
+                    o.steps = v
+                        .parse()
+                        .map_err(|_| format!("--steps needs a positive integer, got {v:?}"))?;
+                    if o.steps == 0 {
+                        return Err("--steps must be at least 1".to_string());
+                    }
+                }
+                "--backend" => {
+                    let v = args
+                        .next()
+                        .ok_or_else(|| "--backend needs a value".to_string())?;
+                    o.backend = Backend::from_name(&v)?;
+                }
+                other => return Err(format!("unknown argument {other}")),
+            }
+        }
+        Ok(o)
+    }
 }
 
 /// The applications a workload-kind scenario can run.
@@ -343,9 +440,7 @@ impl ScenarioSpec {
             name: name.to_string(),
             kind: ScenarioKind::Experiment(ExperimentSpec {
                 id: id.to_string(),
-                full: false,
-                steps: 2,
-                backend: "cycle".to_string(),
+                opts: ExperimentOpts::default(),
             }),
             timeout_secs: 3600.0,
             retries: 0,
@@ -572,15 +667,14 @@ impl ScenarioSpec {
                     SpecError("experiment scenarios need an [experiment] section".into())
                 })?;
                 let backend = get_str(e, "backend")?.unwrap_or_else(|| "cycle".into());
-                if backend != "cycle" && backend != "fast" {
-                    return serr(format!("backend must be cycle or fast, got {backend:?}"));
-                }
                 ScenarioKind::Experiment(ExperimentSpec {
                     id: get_str(e, "id")?
                         .ok_or_else(|| SpecError("[experiment] needs an id".into()))?,
-                    full: get_bool(e, "full")?.unwrap_or(false),
-                    steps: get_usize(e, "steps")?.unwrap_or(2).max(1),
-                    backend,
+                    opts: ExperimentOpts {
+                        full: get_bool(e, "full")?.unwrap_or(false),
+                        steps: get_usize(e, "steps")?.unwrap_or(2).max(1),
+                        backend: Backend::from_name(&backend).map_err(SpecError)?,
+                    },
                 })
             }
             "workload" => {
@@ -858,9 +952,9 @@ impl ScenarioSpec {
                 sc.insert("kind".into(), Value::Str("experiment".into()));
                 let mut t = Table::new();
                 t.insert("id".into(), Value::Str(e.id.clone()));
-                t.insert("full".into(), Value::Bool(e.full));
-                t.insert("steps".into(), Value::Int(e.steps as i64));
-                t.insert("backend".into(), Value::Str(e.backend.clone()));
+                t.insert("full".into(), Value::Bool(e.opts.full));
+                t.insert("steps".into(), Value::Int(e.opts.steps as i64));
+                t.insert("backend".into(), Value::Str(e.opts.backend.name().into()));
                 root.insert("experiment".into(), Value::Table(t));
             }
             ScenarioKind::Builtin(op) => {
@@ -1349,5 +1443,49 @@ reads = 1000
         assert!(!w.trace);
         assert_eq!(s.timeout_secs, 300.0);
         assert_eq!(s.retries, 0);
+    }
+
+    #[test]
+    fn default_experiment_opts() {
+        let o = ExperimentOpts::default();
+        assert!(!o.full);
+        assert_eq!(o.steps, 2);
+        assert_eq!(o.backend, Backend::Cycle);
+    }
+
+    fn parse(args: &[&str]) -> Result<ExperimentOpts, String> {
+        ExperimentOpts::try_parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn try_parse_accepts_supported_flags() {
+        let o = parse(&["--full", "--steps", "5"]).unwrap();
+        assert!(o.full);
+        assert_eq!(o.steps, 5);
+        assert!(!parse(&[]).unwrap().full);
+        assert_eq!(
+            parse(&["--backend", "fast"]).unwrap().backend,
+            Backend::Fast
+        );
+        assert_eq!(
+            parse(&["--backend", "cycle"]).unwrap().backend,
+            Backend::Cycle
+        );
+    }
+
+    #[test]
+    fn try_parse_rejects_bad_command_lines() {
+        assert!(parse(&["--bogus"])
+            .unwrap_err()
+            .contains("unknown argument"));
+        assert!(parse(&["--steps"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--steps", "x"])
+            .unwrap_err()
+            .contains("positive integer"));
+        assert!(parse(&["--steps", "0"]).unwrap_err().contains("at least 1"));
+        assert!(parse(&["--backend"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--backend", "slow"])
+            .unwrap_err()
+            .contains("cycle or fast"));
     }
 }

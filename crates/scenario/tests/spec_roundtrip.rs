@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use spp_core::FaultEvent;
 use spp_scenario::{
-    BuiltinOp, Expectation, PlacementPolicy, ScenarioKind, ScenarioSpec, SchedulePolicySpec,
-    WorkloadApp,
+    Backend, BuiltinOp, Expectation, PlacementPolicy, ScenarioKind, ScenarioSpec,
+    SchedulePolicySpec, WorkloadApp,
 };
 
 /// Draw a valid spec from the rng — every field randomized within the
@@ -40,9 +40,13 @@ fn arbitrary_spec(rng: &mut TestRng) -> ScenarioSpec {
             let ids = ["latency", "fig2", "table1", "race", "chaos"];
             let mut s = ScenarioSpec::experiment(&name, ids[rng.below(5) as usize]);
             if let ScenarioKind::Experiment(ref mut e) = s.kind {
-                e.full = rng.below(2) == 1;
-                e.steps = 1 + rng.below(10) as usize;
-                e.backend = if rng.below(2) == 0 { "cycle" } else { "fast" }.to_string();
+                e.opts.full = rng.below(2) == 1;
+                e.opts.steps = 1 + rng.below(10) as usize;
+                e.opts.backend = if rng.below(2) == 0 {
+                    Backend::Cycle
+                } else {
+                    Backend::Fast
+                };
             }
             s
         }

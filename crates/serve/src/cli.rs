@@ -1,5 +1,5 @@
-//! The `spp-serve` command line: `serve` runs the service; the other
-//! subcommands are thin protocol clients.
+//! The job service's verbs of the `spp` command line: `spp serve`
+//! runs the service; the other verbs are thin protocol clients.
 
 use crate::client::{endpoint_of, request};
 use crate::json::{esc, parse};
@@ -9,9 +9,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 const USAGE: &str = "\
-usage: spp-serve <command> [options]
+usage: spp <service command> [options]
 
-commands:
+service commands:
   serve     --state-dir DIR [--addr H:P] [--workers N] [--lane-cap N]
             [--total-cap N] [--stall-after-secs S] [--compact-every N]
             run the service (endpoint lands in <state-dir>/endpoint)
@@ -115,9 +115,10 @@ fn reply_ok(reply: &str) -> bool {
     parse(reply).ok().and_then(|v| v.bool_field("ok")) == Some(true)
 }
 
-/// Entry point for the `spp-serve` binary. `registry` supplies the
-/// experiment implementations `kind = "experiment"` specs dispatch
-/// to. Returns the process exit code.
+/// Entry point for the service verbs of the `spp` binary (`args[0]`
+/// is the verb). `registry` supplies the experiment implementations
+/// `kind = "experiment"` specs dispatch to. Returns the process exit
+/// code.
 pub fn serve_main(args: &[String], registry: Registry) -> i32 {
     let Some((cmd, rest)) = args.split_first() else {
         eprint!("{USAGE}");

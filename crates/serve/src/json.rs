@@ -243,19 +243,25 @@ impl<'a> Parser<'a> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
-                            if self.pos + 4 > self.b.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.pos..self.pos + 4])
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by the
-                            // service's own output; reject rather
-                            // than mis-decode.
-                            let ch = char::from_u32(hex)
-                                .ok_or_else(|| self.err("unsupported \\u code point"))?;
+                            let unit = self.hex4()?;
+                            let code = if (0xd800..0xdc00).contains(&unit) {
+                                // A high surrogate must be followed by
+                                // an escaped low one; together they
+                                // name one astral code point.
+                                if !self.b[self.pos..].starts_with(b"\\u") {
+                                    return Err(self.err("unpaired surrogate"));
+                                }
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if !(0xdc00..0xe000).contains(&low) {
+                                    return Err(self.err("unpaired surrogate"));
+                                }
+                                0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
+                            } else {
+                                unit
+                            };
+                            let ch = char::from_u32(code)
+                                .ok_or_else(|| self.err("unpaired surrogate"))?;
                             s.push(ch);
                         }
                         _ => return Err(self.err("unknown escape")),
@@ -277,6 +283,19 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape, as one UTF-16 unit.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        if self.pos + 4 > self.b.len() {
+            return Err(self.err("truncated \\u escape"));
+        }
+        let unit = std::str::from_utf8(&self.b[self.pos..self.pos + 4])
+            .ok()
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(unit)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -317,23 +336,9 @@ fn utf8_width(first: u8) -> usize {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal (the
-/// service's writer side; matches what [`parse`] decodes).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// The service's writer side: the workspace's one JSON string
+/// escaper, whose every output [`parse`] decodes back.
+pub use spp_core::json_escape as esc;
 
 #[cfg(test)]
 mod tests {

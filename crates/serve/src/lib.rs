@@ -32,8 +32,8 @@
 //! The wire protocol ([`client`]) is dependency-light std-net TCP:
 //! one JSON line request, one JSON line reply, connection per
 //! exchange. Commands: `submit`, `status`, `result`, `cancel`,
-//! `health`, `drain`, `shutdown`. The `spp-serve` binary (in
-//! `spp-bench`, which owns the experiment registry) wraps
+//! `health`, `drain`, `shutdown`. The `spp` binary (in `spp-bench`,
+//! which owns the experiment registry) hands those verbs to
 //! [`cli::serve_main`].
 
 #![warn(missing_docs)]

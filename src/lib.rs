@@ -25,8 +25,8 @@
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory, `EXPERIMENTS.md` for the
-//! paper-vs-measured record, and `crates/bench` for the `repro-*`
-//! binaries that regenerate every table and figure.
+//! paper-vs-measured record, and `crates/bench` for the `spp` binary
+//! whose `spp repro <id>` regenerates every table and figure.
 
 #![warn(missing_docs)]
 
