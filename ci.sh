@@ -19,16 +19,18 @@ SPP_CHECK=1 cargo test --workspace -q
 echo "== perfbench golden gate (helper tests + a short run per workload)"
 # The only gate that runs the observer-free hit path (SPP_CHECK unset)
 # against goldens: every cell's simulated output must match
-# perfbench/goldens.txt.
+# perfbench/goldens.txt. The traced paper-apps run also replays its
+# cells through TracePort at the probe sizes.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-for w in paper-apps sync-sharing; do
+for run in "paper-apps 0" "sync-sharing 0" "paper-apps 1"; do
+  read -r w trace <<<"$run"
   last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload "$w" --seconds 1 --trace 0 | tail -n 1)
+    --workload "$w" --seconds 1 --trace "$trace" | tail -n 1)
   if ! grep -q '"correct": true' <<<"$last" || ! grep -q '"failed": 0,' <<<"$last"; then
-    echo "perfbench $w: $last" >&2
+    echo "perfbench $w --trace $trace: $last" >&2
     exit 1
   fi
-  echo "   perfbench $w: correct, 0 failed"
+  echo "   perfbench $w --trace $trace: correct, 0 failed"
 done
 
 echo "== spp repro all smoke run (1 step, every registered experiment)"

@@ -53,8 +53,9 @@ impl FastPort {
     /// Fallible variant of [`FastPort::new`].
     pub fn try_new(cfg: MachineConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let caches = (0..cfg.num_cpus())
-            .map(|_| Cache::new(cfg.cache_lines()))
+        let cpus = cfg.num_cpus();
+        let caches = (0..cpus)
+            .map(|_| Cache::for_machine(cpus, cfg.cache_lines()))
             .collect();
         Ok(FastPort {
             space: AddressSpace::new(&cfg),

@@ -6,7 +6,9 @@
 //! sits on the miss path of every simulated access; `std::HashMap`'s
 //! SipHash is needless overhead for 64-bit integer keys, so we use a
 //! Fibonacci multiply hash with linear probing and tombstone-free
-//! backshift deletion.
+//! backshift deletion. Values move rather than clone: removal, the
+//! backshift and growth never copy a `V`, so a `Vec`-valued map costs
+//! no heap allocation beyond its values' own.
 
 /// Sparse map from line address to `V`.
 #[derive(Debug, Clone)]
@@ -20,6 +22,9 @@ pub struct LineMap<V> {
 
 const EMPTY: u64 = 0;
 
+/// Table slots of a [`LineMap::new`] map, allocated on its first insert.
+const FIRST_SLOTS: usize = 32;
+
 #[inline]
 fn hash(key: u64) -> u64 {
     // Fibonacci hashing: multiply by 2^64/phi, use high bits via mask
@@ -28,10 +33,17 @@ fn hash(key: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-impl<V: Clone> LineMap<V> {
-    /// Create an empty map.
+impl<V: Default> LineMap<V> {
+    /// Create an empty map. It allocates nothing until the first
+    /// insert, so a machine's many per-CPU and per-node maps cost no
+    /// heap until they are used.
     pub fn new() -> Self {
-        Self::with_capacity(16)
+        LineMap {
+            keys: Vec::new(),
+            vals: Vec::new(),
+            len: 0,
+            mask: 0,
+        }
     }
 
     /// Create a map pre-sized for roughly `cap` entries.
@@ -43,12 +55,6 @@ impl<V: Clone> LineMap<V> {
             len: 0,
             mask: n - 1,
         }
-        .init_vals()
-    }
-
-    fn init_vals(mut self) -> Self {
-        self.vals.clear();
-        self
     }
 
     /// Number of entries.
@@ -66,7 +72,8 @@ impl<V: Clone> LineMap<V> {
         let k = key + 1;
         let mut i = (hash(k) as usize) & self.mask;
         loop {
-            let s = self.keys[i];
+            // Only an unallocated table has no slot `i`.
+            let s = *self.keys.get(i)?;
             if s == EMPTY {
                 return None;
             }
@@ -97,28 +104,22 @@ impl<V: Clone> LineMap<V> {
         if (self.len + 1) * 10 >= self.keys.len() * 7 {
             self.grow();
         }
+        // `vals` runs parallel to `keys`, padded with defaults on the
+        // first insert after a grow or clear.
+        if self.vals.len() < self.keys.len() {
+            self.vals.resize_with(self.keys.len(), V::default);
+        }
         let k = line + 1;
         let mut i = (hash(k) as usize) & self.mask;
         loop {
             let s = self.keys[i];
             if s == EMPTY {
                 self.keys[i] = k;
-                // vals is kept dense-parallel with keys via index map:
-                // we store values in a parallel Vec the same length as
-                // keys, grown lazily.
-                if self.vals.len() < self.keys.len() {
-                    // Fill with clones of v as placeholder only up to
-                    // needed index — instead keep vals same length.
-                    self.vals.resize(self.keys.len(), v.clone());
-                }
                 self.vals[i] = v;
                 self.len += 1;
                 return None;
             }
             if s == k {
-                if self.vals.len() < self.keys.len() {
-                    self.vals.resize(self.keys.len(), v.clone());
-                }
                 return Some(std::mem::replace(&mut self.vals[i], v));
             }
             i = (i + 1) & self.mask;
@@ -137,7 +138,7 @@ impl<V: Clone> LineMap<V> {
     /// Remove the entry for `line`, returning its value.
     pub fn remove(&mut self, line: u64) -> Option<V> {
         let mut i = self.slot_of(line)?;
-        let out = self.vals[i].clone();
+        let out = std::mem::take(&mut self.vals[i]);
         // Backshift deletion keeps probe chains intact without
         // tombstones.
         self.keys[i] = EMPTY;
@@ -154,7 +155,7 @@ impl<V: Clone> LineMap<V> {
             };
             if between {
                 self.keys[i] = k;
-                self.vals[i] = self.vals[j].clone();
+                self.vals.swap(i, j);
                 self.keys[j] = EMPTY;
                 i = j;
             }
@@ -164,13 +165,14 @@ impl<V: Clone> LineMap<V> {
     }
 
     fn grow(&mut self) {
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; (self.mask + 1) * 2]);
+        let n = (self.keys.len() * 2).max(FIRST_SLOTS);
+        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; n]);
         let old_vals = std::mem::take(&mut self.vals);
         self.mask = self.keys.len() - 1;
         self.len = 0;
-        for (i, k) in old_keys.iter().enumerate() {
-            if *k != EMPTY {
-                self.insert(*k - 1, old_vals[i].clone());
+        for (k, v) in old_keys.into_iter().zip(old_vals) {
+            if k != EMPTY {
+                self.insert(k - 1, v);
             }
         }
     }
@@ -187,11 +189,12 @@ impl<V: Clone> LineMap<V> {
     /// Drop all entries.
     pub fn clear(&mut self) {
         self.keys.iter_mut().for_each(|k| *k = EMPTY);
+        self.vals.clear();
         self.len = 0;
     }
 }
 
-impl<V: Clone> Default for LineMap<V> {
+impl<V: Default> Default for LineMap<V> {
     fn default() -> Self {
         Self::new()
     }
@@ -212,6 +215,18 @@ mod tests {
         assert_eq!(m.remove(42), Some("b"));
         assert_eq!(m.get(42), None);
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn a_new_map_allocates_on_first_insert() {
+        let mut m = LineMap::new();
+        assert_eq!(m.keys.capacity(), 0);
+        assert_eq!(m.get(0), None);
+        assert_eq!(m.remove(7), None);
+        assert_eq!(m.iter().count(), 0);
+        m.insert(7, 1u8);
+        assert_eq!(m.keys.len(), FIRST_SLOTS);
+        assert_eq!(m.get(7), Some(&1));
     }
 
     #[test]
@@ -281,5 +296,40 @@ mod tests {
         assert_eq!(m.get(10), None);
         m.insert(10, ());
         assert_eq!(m.len(), 1);
+    }
+
+    /// A value that counts its clones.
+    #[derive(Debug, Default, PartialEq)]
+    struct CloneCounted(u64);
+
+    static CLONES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    impl Clone for CloneCounted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            CloneCounted(self.0)
+        }
+    }
+
+    #[test]
+    fn values_move_and_are_never_cloned() {
+        let mut m = LineMap::with_capacity(8);
+        let cap = m.keys.len();
+        // Past two grows, with keys that collide into probe chains.
+        let keys: Vec<u64> = (0..(cap as u64 * 2)).map(|i| i * 1024).collect();
+        for &k in &keys {
+            m.insert(k, CloneCounted(k));
+        }
+        assert!(m.keys.len() >= cap * 4, "two grows");
+        m.insert(keys[0], CloneCounted(7));
+        // Removals backshift the chains behind them.
+        for &k in keys.iter().step_by(2).skip(1) {
+            assert_eq!(m.remove(k), Some(CloneCounted(k)));
+        }
+        for &k in keys.iter().skip(1).step_by(2) {
+            assert_eq!(m.get(k), Some(&CloneCounted(k)), "key {k}");
+        }
+        assert_eq!(m.get(keys[0]), Some(&CloneCounted(7)));
+        assert_eq!(CLONES.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 }

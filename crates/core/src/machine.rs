@@ -194,12 +194,13 @@ impl Machine {
     pub fn try_new(cfg: MachineConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let line_shift = cfg.line_bytes.trailing_zeros();
-        let caches = (0..cfg.num_cpus())
-            .map(|_| Cache::new(cfg.cache_lines()))
+        let cpus = cfg.num_cpus();
+        let caches = (0..cpus)
+            .map(|_| Cache::for_machine(cpus, cfg.cache_lines()))
             .collect();
         let dirs = (0..cfg.hypernodes).map(|_| Directory::new()).collect();
         let gcbs = (0..cfg.hypernodes * cfg.fus_per_node)
-            .map(|_| Cache::new(cfg.gcb_lines().next_power_of_two()))
+            .map(|_| Cache::for_machine(cpus, cfg.gcb_lines().next_power_of_two()))
             .collect();
         let mut m = Machine {
             space: AddressSpace::new(&cfg),
@@ -268,9 +269,12 @@ impl Machine {
             + self.snoop.live_lines()
     }
 
-    /// Total valid lines across every per-CPU cache (each cache is a
-    /// sparse map too; together with [`Machine::coherence_footprint`]
-    /// this bounds the machine's line-tracking memory).
+    /// Total valid lines across every per-CPU cache. On machines with
+    /// more than [`crate::cache::DENSE_MAX_CPUS`] CPUs each cache is a
+    /// sparse map too, so together with [`Machine::coherence_footprint`]
+    /// this bounds the machine's line-tracking memory; smaller
+    /// machines hold their caches in dense pages (see
+    /// [`crate::cache`]).
     pub fn cached_lines(&self) -> usize {
         self.caches.iter().map(Cache::valid_lines).sum()
     }
@@ -874,8 +878,9 @@ impl Machine {
         for r in 0..self.cfg.fus_per_node {
             let ring = RingId(r as u8);
             let g = self.gcb_index(node, ring);
-            let cap = self.gcbs[g].capacity();
-            let old = std::mem::replace(&mut self.gcbs[g], Cache::new((cap / 2).max(1)));
+            let half =
+                Cache::for_machine(self.cfg.num_cpus(), (self.gcbs[g].capacity() / 2).max(1));
+            let old = std::mem::replace(&mut self.gcbs[g], half);
             let entries: Vec<(u64, LineState)> = old.entries().collect();
             for (line, state) in entries {
                 if let Some(victim) = self.gcbs[g].fill(line, state) {
@@ -2617,6 +2622,51 @@ mod tests {
                 s.hits > s.misses() && s.evictions > 0 && s.uncached_ops > 0,
                 "{proto:?}: stream must hit, miss and conflict: {s}"
             );
+        }
+    }
+
+    #[test]
+    fn dense_and_sparse_cache_storage_run_identically() {
+        let hard = FaultPlan::new(32)
+            .with_cpu_failure(9, 20_000)
+            .with_gcb_degrade(0, 10_000);
+        for proto in ProtocolKind::ALL {
+            for plan in [None, Some(&hard)] {
+                let run = |sparse: bool| {
+                    let mut m = Machine::new(MachineConfig::tiny(2)).with_protocol(proto);
+                    if let Some(p) = plan {
+                        m = m.with_faults(p.clone());
+                    }
+                    for c in m.caches.iter_mut().chain(&mut m.gcbs) {
+                        assert!(c.is_dense(), "16 CPUs build dense caches");
+                        if sparse {
+                            *c = Cache::new(c.capacity());
+                        }
+                    }
+                    // The degrade rebuilds node 0's GCBs by the storage
+                    // rule, so the sparse twin's turn dense there; its
+                    // traffic before the degrade ran on sparse GCBs.
+                    let cycles = hit_path_stream(&mut m);
+                    mixed_workload(&mut m);
+                    if plan.is_some() {
+                        assert!(!m.hard_faults_pending(), "{proto:?}: faults pending");
+                    }
+                    (
+                        cycles,
+                        m.clock(),
+                        m.stats,
+                        m.per_cpu_stats().to_vec(),
+                        m.coherence_digest(),
+                        m.snapshot().into_bytes(),
+                    )
+                };
+                let (dense, sparse) = (run(false), run(true));
+                assert!(
+                    dense == sparse,
+                    "{proto:?}, plan {}: storage changed the run",
+                    plan.is_some()
+                );
+            }
         }
     }
 

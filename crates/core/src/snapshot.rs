@@ -31,7 +31,7 @@
 //! supplied plan is validated against the captured seed and schedule
 //! length.
 
-use crate::cache::{Cache, LineState};
+use crate::cache::{Cache, LineState, MAX_LINE};
 use crate::config::MachineConfig;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -197,24 +197,30 @@ fn write_cache(v: &mut Vec<u8>, c: &Cache) {
     }
 }
 
-fn read_cache_into(r: &mut Reader<'_>, c: &mut Cache) -> Result<(), SimError> {
+/// Refill `c` from the stream, rebuilding it at the captured capacity
+/// (by the storage rule for a `num_cpus`-CPU machine) when that
+/// differs, as a degraded GCB's does.
+fn read_cache_into(r: &mut Reader<'_>, c: &mut Cache, num_cpus: usize) -> Result<(), SimError> {
     let cap = r.u64()? as usize;
     if !cap.is_power_of_two() {
         return Err(corrupt(format!("cache capacity {cap} not a power of two")));
     }
     // Bound the rebuild: a corrupted capacity field must become a typed
-    // error, not a gigantic `Cache::new` allocation. 2^24 lines is far
+    // error, not a gigantic cache allocation. 2^24 lines is far
     // beyond any machine this simulator models.
     if cap > 1 << 24 {
         return Err(corrupt(format!("cache capacity {cap} implausibly large")));
     }
     if cap != c.capacity() {
-        *c = Cache::new(cap);
+        *c = Cache::for_machine(num_cpus, cap);
     }
     let n = r.u32()?;
     for _ in 0..n {
         let line = r.u64()?;
         let state = code_state(r.u8()?)?;
+        if line > MAX_LINE {
+            return Err(corrupt(format!("cache line {line:#x} out of range")));
+        }
         if c.fill(line, state).is_some() {
             return Err(corrupt(format!(
                 "cache entries conflict on line {line:#x} (slot collision)"
@@ -526,8 +532,9 @@ impl Snapshot {
                 m.caches.len()
             )));
         }
+        let cpus = m.cfg.num_cpus();
         for c in &mut m.caches {
-            read_cache_into(&mut r, c)?;
+            read_cache_into(&mut r, c, cpus)?;
         }
         let ngcbs = r.u32()? as usize;
         if ngcbs != m.gcbs.len() {
@@ -537,7 +544,7 @@ impl Snapshot {
             )));
         }
         for g in &mut m.gcbs {
-            read_cache_into(&mut r, g)?;
+            read_cache_into(&mut r, g, cpus)?;
         }
 
         let ndirs = r.u32()? as usize;
@@ -1067,6 +1074,24 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    #[test]
+    fn restore_keeps_dense_storage_and_degraded_capacity() {
+        let plan = || FaultPlan::new(2).with_gcb_degrade(0, 0);
+        let mut m = Machine::new(MachineConfig::tiny(2)).with_faults(plan());
+        drive(&mut m, 0..200);
+        assert_eq!(m.degraded_nodes(), 1);
+        let back = m
+            .snapshot()
+            .restore(MachineConfig::tiny(2), Some(plan()))
+            .expect("restore");
+        assert!(back.caches.iter().chain(&back.gcbs).all(Cache::is_dense));
+        let caps = |m: &Machine| m.gcbs.iter().map(Cache::capacity).collect::<Vec<_>>();
+        let fus = m.config().fus_per_node;
+        assert_eq!(caps(&back), caps(&m));
+        assert_eq!(back.gcbs[0].capacity() * 2, back.gcbs[fus].capacity());
+        assert_eq!(back.snapshot().into_bytes(), m.snapshot().into_bytes());
     }
 
     #[test]
