@@ -61,6 +61,10 @@ grep -q '"passed": true' target/repro/BENCH_race.json
 test -s target/repro/race_repro.json
 echo "   target/repro/BENCH_race.json OK"
 
+echo "== spp repro backend smoke run (5 steps: sweep, batched = scalar, trace replay)"
+"$SPP" repro backend --steps 5 >/dev/null
+echo "   backend experiment OK at 5 steps"
+
 echo "== trace determinism (two runs, byte-identical timeline)"
 cp target/repro/trace_timeline.json target/repro/trace_timeline.first.json
 "$SPP" repro trace --steps 1 >/dev/null

@@ -1,6 +1,6 @@
 //! `spp`: the one command line of the SPP-1000 reproduction.
 //!
-//! * `spp repro <id>|all [--full] [--steps N] [--backend cycle|fast]`
+//! * `spp repro <id>|all [--full] [--steps N]`
 //!   regenerates one paper artifact, or every registered one in
 //!   order, as a supervised fleet (crash-contained, PASS/FAIL
 //!   classified, exit code 0 iff every cell passed);
@@ -16,7 +16,7 @@
 use spp_bench::scenario_cli::{fleet_main, registry, repro_main};
 
 const USAGE: &str = "usage: spp <command> [options]\n\
-     \x20 repro <id>|all [--full] [--steps N] [--backend cycle|fast]\n\
+     \x20 repro <id>|all [--full] [--steps N]\n\
      \x20                    run registered experiments as a supervised fleet\n\
      \x20 run [--workers N] [--max-timeout S] <spec.toml|dir>...\n\
      \x20                    execute a scenario spec matrix\n\

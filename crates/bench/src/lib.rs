@@ -48,7 +48,7 @@ pub fn repro_dir() -> std::path::PathBuf {
 /// The options every experiment's `run` takes; one type shared with
 /// the scenario engine, so each registry entry is the module's own
 /// `run` function.
-pub use spp_scenario::{Backend, ExperimentOpts as Opts};
+pub use spp_scenario::ExperimentOpts as Opts;
 
 /// Minimal fixed-width table formatter (plain text, pasteable into
 /// markdown as a code block).

@@ -47,7 +47,7 @@ pub fn registry() -> Registry {
     r
 }
 
-/// `spp repro <id>|all [--full] [--steps N] [--backend cycle|fast]`:
+/// `spp repro <id>|all [--full] [--steps N]`:
 /// run one registered experiment, or every one in registry order, as
 /// a supervised fleet with one worker. A panicking experiment is a
 /// contained FAIL and the sweep goes on. Reports land under `dir`

@@ -4,15 +4,11 @@
 //! direct module invocation — checked here on the cheap experiments.
 
 use spp_bench::scenario_cli::registry;
-use spp_bench::{Backend, Opts};
+use spp_bench::Opts;
 use spp_scenario::{run_fleet, FleetConfig, ScenarioSpec, Status};
 
 fn opts(steps: usize) -> Opts {
-    Opts {
-        full: false,
-        steps,
-        backend: Backend::Cycle,
-    }
+    Opts { full: false, steps }
 }
 
 type DirectRunner = fn(&Opts) -> String;

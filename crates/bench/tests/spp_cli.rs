@@ -49,13 +49,18 @@ fn an_unknown_or_missing_experiment_id_lists_the_registered_ones() {
 
 #[test]
 fn bad_experiment_options_print_the_usage() {
-    for (args, why) in [
-        (&["--steps", "0"][..], "at least 1"),
-        (&["--bogus"], "unknown argument --bogus"),
-        (&["--steps"], "needs a value"),
-        (&["--steps", "abc"], "positive integer"),
+    for (id, args, why) in [
+        ("latency", &["--steps", "0"][..], "at least 1"),
+        ("latency", &["--bogus"], "unknown argument --bogus"),
+        ("latency", &["--steps"], "needs a value"),
+        ("latency", &["--steps", "abc"], "positive integer"),
+        (
+            "backend",
+            &["--backend", "fast"],
+            "unknown argument --backend",
+        ),
     ] {
-        let mut argv = vec!["repro", "latency"];
+        let mut argv = vec!["repro", id];
         argv.extend_from_slice(args);
         let (code, err) = spp(&argv);
         assert_eq!(code, 2, "{argv:?}");

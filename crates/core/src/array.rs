@@ -6,7 +6,7 @@
 //! the machine model — the simulator sees the genuine address stream
 //! of the genuine algorithm. All pricing goes through the pluggable
 //! [`MemPort`], so the same kernel can run against the cycle-accurate
-//! machine, the analytic fast model, or a trace recorder.
+//! machine or a trace recorder.
 
 use crate::config::CpuId;
 use crate::latency::Cycles;
@@ -172,7 +172,6 @@ impl<T: Copy> SimArray<T> {
 mod tests {
     use super::*;
     use crate::config::NodeId;
-    use crate::fastport::FastPort;
     use crate::machine::Machine;
 
     #[test]
@@ -277,15 +276,5 @@ mod tests {
         assert_eq!(a.write_run(&mut m, CpuId(0), 0, &[]), 0);
         assert_eq!(a.fill_run(&mut m, CpuId(0), 0..0, 1.0), 0);
         assert_eq!(m.stats, before);
-    }
-
-    #[test]
-    fn arrays_work_on_the_analytic_backend() {
-        let mut p = FastPort::spp1000(2);
-        let mut a = SimArray::<f64>::from_elem(&mut p, MemClass::FarShared, 64, 0.0);
-        let c_w = a.write(&mut p, CpuId(0), 0, 3.0);
-        let (v, c_r) = a.read(&mut p, CpuId(0), 0);
-        assert_eq!(v, 3.0);
-        assert!(c_w > c_r);
     }
 }

@@ -43,7 +43,6 @@ pub mod config;
 pub mod diagram;
 pub mod directory;
 pub mod error;
-pub mod fastport;
 pub mod fault;
 pub mod heat;
 pub mod jsonl;
@@ -66,7 +65,6 @@ pub use check::{CoherenceChecker, Violation};
 pub use config::{CpuId, FuId, MachineConfig, NodeId, RingId};
 pub use diagram::system_diagram;
 pub use error::{ConfigError, SimError};
-pub use fastport::FastPort;
 pub use fault::{FaultEvent, FaultPlan, HardFault, N_FAULT_SITES};
 pub use heat::{
     heat_by_region, heat_report, insight_json, HeatCell, HeatMap, RegionHeat, ServiceLevel,

@@ -3,32 +3,33 @@
 //! [`MemPort`] is the seam between workload *drivers* (the runtime's
 //! fork-join layer, the PVM layer, and the application kernels) and
 //! the memory-system *cost model*. Everything above spp-core is
-//! generic over it, so the same genuine address stream can be priced
-//! by different backends:
+//! generic over it. There is one cost model and two ports onto it:
 //!
 //! * [`crate::Machine`] — the cycle-accurate coherence model. The
 //!   trait impl delegates to the inherent methods, so a
 //!   `Runtime<Machine>` is bit-identical to the pre-trait code and
 //!   the paper anchors do not move.
-//! * [`crate::FastPort`] — an analytic hit/miss counter with no
-//!   coherence state, for quick parameter sweeps.
 //! * [`crate::TracePort`] — wraps a `Machine`, charging real costs
 //!   while recording a compact binary trace that can be replayed into
 //!   a fresh cycle-accurate machine ([`crate::Trace::replay`]).
+//!
+//! No analytic model prices the stream: the paper's findings are
+//! properties of coherence state (GCB hits, SCI sharing lists,
+//! cross-hypernode fetches) that only the cycle model keeps.
 //!
 //! ## Batched runs
 //!
 //! [`MemPort::read_run`] / [`MemPort::write_run`] price `n`
 //! consecutive `elem_bytes`-strided accesses starting at `addr` in
-//! one call. The **run-equivalence invariant** every backend must
+//! one call. The **run-equivalence invariant** every port must
 //! uphold: a run call returns exactly the total cycles, and produces
 //! exactly the [`crate::MemStats`] delta, of the equivalent scalar
-//! loop. The default implementations *are* the scalar loop; `Machine`
-//! overrides them with a fast path that performs one coherence
-//! transaction per cache line and prices the rest as hits — valid
-//! because the model is single-threaded, so after the first access of
-//! a run the line deterministically stays resident for the remainder
-//! of that line's elements. `tests/cross_validation.rs` enforces the
+//! loop. `Machine` implements them with a fast path that performs one
+//! coherence transaction per cache line and prices the rest as hits —
+//! valid because the model is single-threaded, so after the first
+//! access of a run the line deterministically stays resident for the
+//! remainder of that line's elements; `TracePort` records one run op
+//! and forwards it. `tests/cross_validation.rs` enforces the
 //! invariant bit-for-bit.
 
 use crate::config::{CpuId, FuId, MachineConfig, NodeId};
@@ -77,32 +78,15 @@ pub trait MemPort {
     /// counters are left untouched.
     fn flush_all_caches(&mut self);
 
-    /// Cache line size in bytes.
-    fn line_bytes(&self) -> u64 {
-        self.config().line_bytes as u64
-    }
-
     /// Price `n` reads at `addr, addr + elem_bytes, ...` as `cpu`.
     ///
     /// Must be cycle- and stats-equivalent to the scalar loop (the
     /// run-equivalence invariant, see the [module docs](self)).
-    fn read_run(&mut self, cpu: CpuId, addr: u64, elem_bytes: u64, n: usize) -> Cycles {
-        let mut total = 0;
-        for i in 0..n {
-            total += self.read(cpu, addr + i as u64 * elem_bytes);
-        }
-        total
-    }
+    fn read_run(&mut self, cpu: CpuId, addr: u64, elem_bytes: u64, n: usize) -> Cycles;
 
     /// Price `n` writes at `addr, addr + elem_bytes, ...` as `cpu`.
     /// Same equivalence contract as [`MemPort::read_run`].
-    fn write_run(&mut self, cpu: CpuId, addr: u64, elem_bytes: u64, n: usize) -> Cycles {
-        let mut total = 0;
-        for i in 0..n {
-            total += self.write(cpu, addr + i as u64 * elem_bytes);
-        }
-        total
-    }
+    fn write_run(&mut self, cpu: CpuId, addr: u64, elem_bytes: u64, n: usize) -> Cycles;
 
     /// True if `cpu` has been taken offline by a hard fault (see
     /// [`crate::HardFault::CpuFail`]). Backends without a hard-failure

@@ -48,7 +48,7 @@ pub use engine::{
     Registry, ScenarioResult, Status, REPORT_SCHEMA,
 };
 pub use spec::{
-    Backend, BuiltinOp, Expectation, ExperimentOpts, ExperimentSpec, GoldenSpec, PlacementPolicy,
+    BuiltinOp, Expectation, ExperimentOpts, ExperimentSpec, GoldenSpec, PlacementPolicy,
     ScenarioKind, ScenarioSpec, SchedulePolicySpec, SpecError, WorkloadApp, WorkloadSpec,
     SPEC_SCHEMA,
 };

@@ -54,39 +54,6 @@ pub struct ExperimentSpec {
     pub opts: ExperimentOpts,
 }
 
-/// Which memory-port backend prices the backend-sensitive sweeps.
-/// The figure/table experiments always use the cycle-accurate
-/// machine: the paper anchors are properties of the cycle model, not
-/// of any analytic approximation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The cycle-accurate [`spp_core::Machine`] (default).
-    Cycle,
-    /// The analytic [`spp_core::FastPort`] hit/miss model; the
-    /// backend experiment asserts its counts stay within the
-    /// documented tolerance of the cycle-accurate run.
-    Fast,
-}
-
-impl Backend {
-    /// The command-line and TOML spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Cycle => "cycle",
-            Backend::Fast => "fast",
-        }
-    }
-
-    /// Parse [`Backend::name`]'s spelling back.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "cycle" => Ok(Backend::Cycle),
-            "fast" => Ok(Backend::Fast),
-            other => Err(format!("backend must be cycle or fast, got {other:?}")),
-        }
-    }
-}
-
 /// The options every experiment's `run` function takes: the
 /// `[experiment]` section of a spec and the `spp repro` command line
 /// both parse into this one type.
@@ -99,8 +66,6 @@ pub struct ExperimentOpts {
     /// Measured steps per application configuration (after one
     /// untimed warm-up step).
     pub steps: usize,
-    /// Memory-port backend for the backend-sensitive sweeps.
-    pub backend: Backend,
 }
 
 impl Default for ExperimentOpts {
@@ -108,7 +73,6 @@ impl Default for ExperimentOpts {
         ExperimentOpts {
             full: false,
             steps: 2,
-            backend: Backend::Cycle,
         }
     }
 }
@@ -116,16 +80,12 @@ impl Default for ExperimentOpts {
 impl ExperimentOpts {
     /// The usage text `spp repro` prints on a bad command line.
     pub fn usage() -> &'static str {
-        "usage: spp repro <id>|all [--full] [--steps N] [--backend cycle|fast]\n\
+        "usage: spp repro <id>|all [--full] [--steps N]\n\
          \x20 --full         run paper-size workloads (expensive)\n\
-         \x20 --steps N      measured steps per configuration (positive integer)\n\
-         \x20 --backend B    port backend for backend-sensitive sweeps:\n\
-         \x20                cycle (cycle-accurate, default) or fast (analytic\n\
-         \x20                hit/miss model, validated against cycle)"
+         \x20 --steps N      measured steps per configuration (positive integer)"
     }
 
-    /// Parse `--full`, `--steps N` and `--backend B` from an argument
-    /// list.
+    /// Parse `--full` and `--steps N` from an argument list.
     pub fn try_parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut o = ExperimentOpts::default();
         while let Some(a) = args.next() {
@@ -141,12 +101,6 @@ impl ExperimentOpts {
                     if o.steps == 0 {
                         return Err("--steps must be at least 1".to_string());
                     }
-                }
-                "--backend" => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| "--backend needs a value".to_string())?;
-                    o.backend = Backend::from_name(&v)?;
                 }
                 other => return Err(format!("unknown argument {other}")),
             }
@@ -475,6 +429,14 @@ fn get_usize(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
     }
 }
 
+/// `steps`, which like `--steps` must be at least 1.
+fn get_steps(t: &Table) -> Result<Option<usize>, SpecError> {
+    match get_usize(t, "steps")? {
+        Some(0) => serr("steps must be at least 1"),
+        steps => Ok(steps),
+    }
+}
+
 fn get_u64(t: &Table, key: &str) -> Result<Option<u64>, SpecError> {
     match t.get(key) {
         None => Ok(None),
@@ -666,14 +628,22 @@ impl ScenarioSpec {
                 let e = get_table(root, "experiment")?.ok_or_else(|| {
                     SpecError("experiment scenarios need an [experiment] section".into())
                 })?;
-                let backend = get_str(e, "backend")?.unwrap_or_else(|| "cycle".into());
+                // `backend` is a removed key. Specs and journals written
+                // before the analytic model was deleted carry
+                // `backend = "cycle"`, which names the one cost model
+                // left; any other value asked for a model that is gone.
+                if let Some(b) = get_str(e, "backend")?.filter(|b| b != "cycle") {
+                    return serr(format!(
+                        "backend {b:?}: the analytic backend was removed; \
+                         every experiment runs on the cycle model"
+                    ));
+                }
                 ScenarioKind::Experiment(ExperimentSpec {
                     id: get_str(e, "id")?
                         .ok_or_else(|| SpecError("[experiment] needs an id".into()))?,
                     opts: ExperimentOpts {
                         full: get_bool(e, "full")?.unwrap_or(false),
-                        steps: get_usize(e, "steps")?.unwrap_or(2).max(1),
-                        backend: Backend::from_name(&backend).map_err(SpecError)?,
+                        steps: get_steps(e)?.unwrap_or(2),
                     },
                 })
             }
@@ -811,7 +781,7 @@ impl ScenarioSpec {
 
                 ScenarioKind::Workload(WorkloadSpec {
                     app,
-                    steps: get_usize(sc, "steps")?.unwrap_or(1).max(1),
+                    steps: get_steps(sc)?.unwrap_or(1),
                     hypernodes,
                     protocol,
                     threads,
@@ -954,7 +924,6 @@ impl ScenarioSpec {
                 t.insert("id".into(), Value::Str(e.id.clone()));
                 t.insert("full".into(), Value::Bool(e.opts.full));
                 t.insert("steps".into(), Value::Int(e.opts.steps as i64));
-                t.insert("backend".into(), Value::Str(e.opts.backend.name().into()));
                 root.insert("experiment".into(), Value::Table(t));
             }
             ScenarioKind::Builtin(op) => {
@@ -1284,6 +1253,30 @@ reads = 1000
         )
         .unwrap_err();
         assert!(e.to_string().contains("meteor"), "{e}");
+        // Zero steps, on either kind: `--steps 0` is refused too.
+        for spec in [
+            "schema = 1\n[scenario]\nname = \"x\"\nkind = \"experiment\"\n[experiment]\nid = \"fig2\"\nsteps = 0\n",
+            "schema = 1\n[scenario]\nname = \"x\"\nkind = \"workload\"\nsteps = 0\n[workload]\napp = \"pic\"\n",
+        ] {
+            let e = ScenarioSpec::from_toml_str(spec).unwrap_err();
+            assert!(e.to_string().contains("steps must be at least 1"), "{e}");
+        }
+        // The removed `backend` key: "cycle" (in every older journal)
+        // still parses and drops out of the canonical form; "fast" is
+        // refused rather than run on the cycle model.
+        let exp = |backend: &str| {
+            ScenarioSpec::from_toml_str(&format!(
+                "schema = 1\n[scenario]\nname = \"x\"\nkind = \"experiment\"\n\
+                 [experiment]\nid = \"backend\"\nbackend = \"{backend}\"\n"
+            ))
+        };
+        let cycle = exp("cycle").unwrap();
+        assert!(!cycle.to_toml_string().contains("backend ="));
+        let e = exp("fast").unwrap_err();
+        assert!(
+            e.to_string().contains("analytic backend was removed"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -1450,7 +1443,6 @@ reads = 1000
         let o = ExperimentOpts::default();
         assert!(!o.full);
         assert_eq!(o.steps, 2);
-        assert_eq!(o.backend, Backend::Cycle);
     }
 
     fn parse(args: &[&str]) -> Result<ExperimentOpts, String> {
@@ -1463,14 +1455,6 @@ reads = 1000
         assert!(o.full);
         assert_eq!(o.steps, 5);
         assert!(!parse(&[]).unwrap().full);
-        assert_eq!(
-            parse(&["--backend", "fast"]).unwrap().backend,
-            Backend::Fast
-        );
-        assert_eq!(
-            parse(&["--backend", "cycle"]).unwrap().backend,
-            Backend::Cycle
-        );
     }
 
     #[test]
@@ -1483,9 +1467,5 @@ reads = 1000
             .unwrap_err()
             .contains("positive integer"));
         assert!(parse(&["--steps", "0"]).unwrap_err().contains("at least 1"));
-        assert!(parse(&["--backend"]).unwrap_err().contains("needs a value"));
-        assert!(parse(&["--backend", "slow"])
-            .unwrap_err()
-            .contains("cycle or fast"));
     }
 }

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use spp_core::FaultEvent;
 use spp_scenario::{
-    Backend, BuiltinOp, Expectation, PlacementPolicy, ScenarioKind, ScenarioSpec,
-    SchedulePolicySpec, WorkloadApp,
+    BuiltinOp, Expectation, PlacementPolicy, ScenarioKind, ScenarioSpec, SchedulePolicySpec,
+    WorkloadApp,
 };
 
 /// Draw a valid spec from the rng — every field randomized within the
@@ -42,11 +42,6 @@ fn arbitrary_spec(rng: &mut TestRng) -> ScenarioSpec {
             if let ScenarioKind::Experiment(ref mut e) = s.kind {
                 e.opts.full = rng.below(2) == 1;
                 e.opts.steps = 1 + rng.below(10) as usize;
-                e.opts.backend = if rng.below(2) == 0 {
-                    Backend::Cycle
-                } else {
-                    Backend::Fast
-                };
             }
             s
         }

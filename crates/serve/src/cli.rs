@@ -127,7 +127,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
     let p = match parse_args(rest) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("spp-serve: {e}");
+            eprintln!("spp serve: {e}");
             eprint!("{USAGE}");
             return 2;
         }
@@ -135,7 +135,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
     match cmd.as_str() {
         "serve" => {
             let Some(dir) = &p.state_dir else {
-                eprintln!("spp-serve: serve needs --state-dir");
+                eprintln!("spp serve: serve needs --state-dir");
                 return 2;
             };
             let mut cfg = ServeConfig::new(dir);
@@ -149,12 +149,12 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
             cfg.compact_every = p.compact_every.max(1);
             match Server::start(cfg, registry) {
                 Ok(server) => {
-                    println!("spp-serve listening on {}", server.addr());
+                    println!("spp serve listening on {}", server.addr());
                     server.wait();
                     0
                 }
                 Err(e) => {
-                    eprintln!("spp-serve: {e}");
+                    eprintln!("spp serve: {e}");
                     1
                 }
             }
@@ -163,12 +163,12 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
             let addr = match resolve_addr(&p) {
                 Ok(a) => a,
                 Err(e) => {
-                    eprintln!("spp-serve: {e}");
+                    eprintln!("spp serve: {e}");
                     return 2;
                 }
             };
             if p.rest.is_empty() {
-                eprintln!("spp-serve: submit needs at least one spec file");
+                eprintln!("spp serve: submit needs at least one spec file");
                 return 2;
             }
             let mut failed = false;
@@ -176,7 +176,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                 let text = match std::fs::read_to_string(path) {
                     Ok(t) => t,
                     Err(e) => {
-                        eprintln!("spp-serve: {path}: {e}");
+                        eprintln!("spp serve: {path}: {e}");
                         failed = true;
                         continue;
                     }
@@ -194,7 +194,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                         failed |= !reply_ok(&reply);
                     }
                     Err(e) => {
-                        eprintln!("spp-serve: {path}: {e}");
+                        eprintln!("spp serve: {path}: {e}");
                         failed = true;
                     }
                 }
@@ -205,12 +205,12 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
             let addr = match resolve_addr(&p) {
                 Ok(a) => a,
                 Err(e) => {
-                    eprintln!("spp-serve: {e}");
+                    eprintln!("spp serve: {e}");
                     return 2;
                 }
             };
             let Some(job) = p.rest.first() else {
-                eprintln!("spp-serve: {cmd} needs a job id");
+                eprintln!("spp serve: {cmd} needs a job id");
                 return 2;
             };
             let req = format!("{{\"cmd\": \"{cmd}\", \"job\": \"{}\"}}", esc(job));
@@ -220,7 +220,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                     i32::from(!reply_ok(&reply))
                 }
                 Err(e) => {
-                    eprintln!("spp-serve: {e}");
+                    eprintln!("spp serve: {e}");
                     1
                 }
             }
@@ -229,12 +229,12 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
             let addr = match resolve_addr(&p) {
                 Ok(a) => a,
                 Err(e) => {
-                    eprintln!("spp-serve: {e}");
+                    eprintln!("spp serve: {e}");
                     return 2;
                 }
             };
             let Some(job) = p.rest.first() else {
-                eprintln!("spp-serve: result needs a job id");
+                eprintln!("spp serve: result needs a job id");
                 return 2;
             };
             let req = format!("{{\"cmd\": \"result\", \"job\": \"{}\"}}", esc(job));
@@ -253,7 +253,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                     }
                 },
                 Err(e) => {
-                    eprintln!("spp-serve: {e}");
+                    eprintln!("spp serve: {e}");
                     1
                 }
             }
@@ -262,7 +262,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
             let addr = match resolve_addr(&p) {
                 Ok(a) => a,
                 Err(e) => {
-                    eprintln!("spp-serve: {e}");
+                    eprintln!("spp serve: {e}");
                     return 2;
                 }
             };
@@ -273,13 +273,13 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                     i32::from(!reply_ok(&reply))
                 }
                 Err(e) => {
-                    eprintln!("spp-serve: {e}");
+                    eprintln!("spp serve: {e}");
                     1
                 }
             }
         }
         other => {
-            eprintln!("spp-serve: unknown command {other:?}");
+            eprintln!("spp serve: unknown command {other:?}");
             eprint!("{USAGE}");
             2
         }

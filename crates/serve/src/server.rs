@@ -314,7 +314,7 @@ impl Core {
         if self.journal.since_compact >= cfg.compact_every {
             let snap = self.snapshot_json();
             if let Err(e) = self.journal.compact(&snap) {
-                eprintln!("[spp-serve] journal compaction failed: {e}");
+                eprintln!("[spp serve] journal compaction failed: {e}");
             }
         }
     }
@@ -524,12 +524,12 @@ impl Server {
         };
         if replay.truncated > 0 {
             eprintln!(
-                "[spp-serve] journal: skipped {} torn final line(s) from a previous crash",
+                "[spp serve] journal: skipped {} torn final line(s) from a previous crash",
                 replay.truncated
             );
         }
         for m in &replay.malformed {
-            eprintln!("[spp-serve] journal: skipped malformed record: {m}");
+            eprintln!("[spp serve] journal: skipped malformed record: {m}");
         }
 
         // Snapshot first, then the journal tail on top — idempotent.
@@ -582,7 +582,7 @@ impl Server {
         }
         if !pending.is_empty() {
             eprintln!(
-                "[spp-serve] recovered {} unfinished job(s) ({} interrupted mid-run)",
+                "[spp serve] recovered {} unfinished job(s) ({} interrupted mid-run)",
                 pending.len(),
                 core.interrupted_at_boot
             );
@@ -852,7 +852,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                     };
                     let _ = c.journal.append(&rec);
                     if let Err(e) = c.cache.put(&digest, &line) {
-                        eprintln!("[spp-serve] cache put failed for {digest}: {e}");
+                        eprintln!("[spp serve] cache put failed for {digest}: {e}");
                     }
                     c.by_digest.insert(digest, seq);
                     if let Some(p) = &ckpt {

@@ -44,9 +44,9 @@ pub use spp_runtime;
 pub mod prelude {
     pub use c90_model::{LoopSpec, C90};
     pub use spp_core::{
-        cycles_to_us, CoherenceChecker, ConfigError, CpuId, Cycles, FastPort, FaultPlan,
-        LatencyModel, Machine, MachineConfig, MemClass, MemPort, MemStats, NodeId, SimArray,
-        SimError, Trace, TracePort, Violation,
+        cycles_to_us, CoherenceChecker, ConfigError, CpuId, Cycles, FaultPlan, LatencyModel,
+        Machine, MachineConfig, MemClass, MemPort, MemStats, NodeId, SimArray, SimError, Trace,
+        TracePort, Violation,
     };
     pub use spp_kernels::{Complex, Rng64};
     pub use spp_pvm::Pvm;

@@ -4,8 +4,9 @@
 
 use spp1000::prelude::*;
 
-/// PIC: host reference, shared-memory (1 and 8 threads) and
-/// replicated-grid PVM all produce the same field energy.
+/// PIC: host reference, shared-memory (1 and 8 threads, on the
+/// machine and through the recording port) and replicated-grid PVM
+/// all produce the same field energy.
 #[test]
 fn pic_all_implementations_agree() {
     use spp1000::pic::{host, load_particles, PicProblem, SharedPic};
@@ -21,16 +22,29 @@ fn pic_all_implementations_agree() {
     let reference = fields.field_energy();
 
     // Shared memory at two team sizes.
-    for threads in [1usize, 8] {
-        let mut rt = Runtime::spp1000(2);
+    fn shared<P: MemPort>(mut rt: Runtime<P>, p: &PicProblem, threads: usize, steps: usize) -> f64 {
         let team = Team::place(rt.machine.config(), threads, &Placement::HighLocality);
         let mut sim = SharedPic::new(&mut rt, p.clone(), &team);
         for _ in 0..steps {
             sim.step(&mut rt, &team);
         }
-        let rel = (sim.field_energy() - reference).abs() / reference;
+        sim.field_energy()
+    }
+    let mut energy = 0.0;
+    for threads in [1usize, 8] {
+        energy = shared(Runtime::spp1000(2), &p, threads, steps);
+        let rel = (energy - reference).abs() / reference;
         assert!(rel < 1e-6, "shared({threads}) field energy off by {rel}");
     }
+    // The physics does not depend on the port: recording through
+    // `TracePort` gives the same field, bit for bit.
+    let traced = shared(
+        Runtime::new(TracePort::new(Machine::spp1000(2))),
+        &p,
+        8,
+        steps,
+    );
+    assert_eq!(traced.to_bits(), energy.to_bits(), "traced field energy");
 
     // PVM.
     let cpus: Vec<CpuId> = (0..4u16).map(CpuId).collect();
@@ -239,37 +253,4 @@ fn trace_replay_bit_identical_for_figure_and_app_workloads() {
         assert_eq!(trace.replay(&mut fresh), recorded, "fem replay cycles");
         assert_eq!(fresh.stats, machine.stats, "fem replay stats");
     }
-}
-
-/// The analytic backend drives the same generic stack: an application
-/// runs unmodified on `FastPort`, sees the same access stream (read
-/// and write counts match the cycle backend exactly), and produces
-/// the same physics.
-#[test]
-fn apps_run_unmodified_on_the_analytic_backend() {
-    use spp1000::pic::{PicProblem, SharedPic};
-
-    let p = PicProblem::tiny();
-    let run = |mut rtf: Runtime<FastPort>| {
-        let team = Team::place(rtf.machine.config(), 4, &Placement::HighLocality);
-        let mut sim = SharedPic::new(&mut rtf, p.clone(), &team);
-        let r = sim.run(&mut rtf, &team, 1);
-        (r.elapsed, rtf.machine.stats, sim.field_energy())
-    };
-    let (fast_cycles, fast_stats, fast_energy) = run(Runtime::new(FastPort::spp1000(2)));
-
-    let mut rt = Runtime::spp1000(2);
-    let team = Team::place(rt.machine.config(), 4, &Placement::HighLocality);
-    let mut sim = SharedPic::new(&mut rt, p.clone(), &team);
-    let r = sim.run(&mut rt, &team, 1);
-
-    assert!(fast_cycles > 0);
-    assert_eq!(fast_stats.reads, rt.machine.stats.reads, "same read stream");
-    assert_eq!(
-        fast_stats.writes, rt.machine.stats.writes,
-        "same write stream"
-    );
-    let rel = (fast_energy - sim.field_energy()).abs() / sim.field_energy().max(1e-30);
-    assert!(rel < 1e-12, "physics must not depend on the backend");
-    assert!(r.elapsed > 0);
 }
