@@ -20,9 +20,11 @@ echo "== perfbench golden gate (helper tests + a short run per workload)"
 # The only gate that runs the observer-free hit path (SPP_CHECK unset)
 # against goldens: every cell's simulated output must match
 # perfbench/goldens.txt. The traced paper-apps run also replays its
-# cells through TracePort at the probe sizes.
+# cells through TracePort at the probe sizes; the traced sync-sharing
+# run times the kernel-stream sweep cells that give the per-protocol
+# miss probes (core.{dashsci,mesi,dragon}.hn{2,32,128}.ns_per_access).
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-for run in "paper-apps 0" "sync-sharing 0" "paper-apps 1"; do
+for run in "paper-apps 0" "sync-sharing 0" "paper-apps 1" "sync-sharing 1"; do
   read -r w trace <<<"$run"
   last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$w" --seconds 1 --trace "$trace" | tail -n 1)

@@ -24,10 +24,10 @@
 //!   and a cache costs memory only for the pages its working set
 //!   touches. A hit is an indexed load, not a hash probe.
 //! * *Sparse* on larger machines: a [`LineMap`] keyed by the slot
-//!   index holds only the touched lines, so a 128-hypernode ×
-//!   1024-CPU machine allocates memory proportional to its working
-//!   set. There, a sweep touching a few lines per CPU 256 slots
-//!   apart would allocate a dense page per line.
+//!   index holds the same packed words for the touched slots only, so
+//!   a 128-hypernode × 1024-CPU machine allocates memory proportional
+//!   to its working set. There, a sweep touching a few lines per CPU
+//!   256 slots apart would allocate a dense page per line.
 //!
 //! The two forms are observationally identical: an invalidated slot
 //! behaves exactly like an empty one (lookup misses, a refill is not
@@ -45,7 +45,7 @@ pub const DENSE_MAX_CPUS: usize = 16;
 /// Slots per dense page.
 const PAGE_SLOTS: usize = 256;
 
-/// The largest line address a cache holds: a dense slot packs the line
+/// The largest line address a cache holds: a slot packs the line
 /// above three state bits. Allocated addresses stay far below it.
 pub(crate) const MAX_LINE: u64 = u64::MAX >> 3;
 
@@ -106,8 +106,8 @@ type Page = Box<[u64; PAGE_SLOTS]>;
 /// The slot store behind a [`Cache`].
 #[derive(Debug, Clone)]
 enum Slots {
-    /// Touched slots only: slot → `(line, state)`.
-    Sparse(LineMap<(u64, LineState)>),
+    /// Touched slots only: slot → packed word (never 0).
+    Sparse(LineMap<u64>),
     /// Lazily allocated pages of packed slot words; `len` counts the
     /// nonzero words.
     Dense {
@@ -222,7 +222,7 @@ impl Cache {
                 _ => LineState::Invalid,
             },
             Slots::Sparse(map) => match map.get(i) {
-                Some(&(tag, state)) if tag == line => state,
+                Some(&w) if w >> 3 == line => STATES[(w & 7) as usize],
                 _ => LineState::Invalid,
             },
         }
@@ -233,26 +233,25 @@ impl Cache {
     #[inline]
     pub fn fill(&mut self, line: u64, state: LineState) -> Option<Evicted> {
         debug_assert_ne!(state, LineState::Invalid);
+        assert!(line <= MAX_LINE, "line {line:#x} does not pack");
         let i = self.idx(line);
+        let word = line << 3 | state as u64;
         let prior = match &mut self.slots {
             Slots::Dense { pages, len } => {
-                assert!(line <= MAX_LINE, "line {line:#x} does not pack");
                 let i = i as usize;
                 if pages.is_empty() {
                     pages.resize(self.num_lines.div_ceil(PAGE_SLOTS), None);
                 }
                 let page = pages[i / PAGE_SLOTS].get_or_insert_with(|| Box::new([0; PAGE_SLOTS]));
-                let word = &mut page[i % PAGE_SLOTS];
-                let prior = unpack(*word);
+                let slot = &mut page[i % PAGE_SLOTS];
+                let prior = unpack(*slot);
                 if prior.is_none() {
                     *len += 1;
                 }
-                *word = line << 3 | state as u64;
+                *slot = word;
                 prior
             }
-            Slots::Sparse(map) => map
-                .insert(i, (line, state))
-                .map(|(line, state)| Evicted { line, state }),
+            Slots::Sparse(map) => map.insert(i, word).and_then(unpack),
         };
         prior.filter(|e| e.line != line)
     }
@@ -264,7 +263,7 @@ impl Cache {
         let i = self.idx(line);
         let prior = match &self.slots {
             Slots::Dense { pages, .. } => unpack(dense_get(pages, i as usize)),
-            Slots::Sparse(map) => map.get(i).map(|&(line, state)| Evicted { line, state }),
+            Slots::Sparse(map) => map.get(i).and_then(|&w| unpack(w)),
         };
         prior.filter(|e| e.line != line)
     }
@@ -284,8 +283,8 @@ impl Cache {
                 _ => false,
             },
             Slots::Sparse(map) => match map.get_mut(i) {
-                Some(entry) if entry.0 == line => {
-                    entry.1 = state;
+                Some(w) if holds(*w, line) => {
+                    *w = line << 3 | state as u64;
                     true
                 }
                 _ => false,
@@ -308,12 +307,9 @@ impl Cache {
                 }
                 _ => LineState::Invalid,
             },
-            Slots::Sparse(map) => match map.get(i) {
-                Some((tag, _)) if *tag == line => {
-                    map.remove(i).map_or(LineState::Invalid, |(_, s)| s)
-                }
-                _ => LineState::Invalid,
-            },
+            Slots::Sparse(map) => map
+                .remove_if(i, |w| holds(*w, line))
+                .map_or(LineState::Invalid, |w| STATES[(w & 7) as usize]),
         }
     }
 
@@ -350,8 +346,7 @@ impl Cache {
         let (dense, sparse) = match &self.slots {
             Slots::Dense { pages, .. } => (Some(pages), None),
             Slots::Sparse(map) => {
-                let mut v: Vec<(u64, (u64, LineState))> =
-                    map.iter().map(|(slot, e)| (slot, *e)).collect();
+                let mut v: Vec<(u64, u64)> = map.iter().map(|(slot, w)| (slot, *w)).collect();
                 v.sort_unstable_by_key(|(slot, _)| *slot);
                 (None, Some(v))
             }
@@ -361,10 +356,7 @@ impl Cache {
             .flatten()
             .flatten()
             .flat_map(|page| page.iter().filter_map(|&w| unpack(w)));
-        let sparse = sparse
-            .into_iter()
-            .flatten()
-            .map(|(_, (line, state))| Evicted { line, state });
+        let sparse = sparse.into_iter().flatten().filter_map(|(_, w)| unpack(w));
         dense.chain(sparse).map(|e| (e.line, e.state))
     }
 }

@@ -65,11 +65,14 @@ impl Directory {
         e.owner = Some(cpu_in_node);
     }
 
-    /// Downgrade the owner (if any) to an ordinary sharer.
-    pub fn clear_owner(&mut self, line: u64) {
-        if let Some(e) = self.map.get_mut(line) {
-            e.owner = None;
-        }
+    /// Downgrade the owner of `line` to an ordinary sharer unless it
+    /// is `keep`, returning the downgraded owner. One probe reads and
+    /// clears the owner together.
+    pub fn take_owner(&mut self, line: u64, keep: Option<u8>) -> Option<u8> {
+        let e = self.map.get_mut(line)?;
+        let owner = e.owner.filter(|o| Some(*o) != keep)?;
+        e.owner = None;
+        Some(owner)
     }
 
     /// Remove `cpu_in_node` from the sharer set (cache eviction or
@@ -87,6 +90,30 @@ impl Directory {
         if remove {
             self.map.remove(line);
         }
+    }
+
+    /// Drop every sharer of `line` except `keep` (a write's
+    /// invalidation within one node), returning the dropped sharers'
+    /// mask. The entry goes when it empties. One probe for the whole
+    /// sharer set, where [`Directory::remove_sharer`] takes one per
+    /// sharer.
+    pub fn remove_sharers_except(&mut self, line: u64, keep: Option<u8>) -> u8 {
+        let Some(e) = self.map.get_mut(line) else {
+            return 0;
+        };
+        let kept = keep.map_or(0, |b| 1u8 << b);
+        let gone = e.sharers & !kept;
+        if gone == 0 {
+            return 0;
+        }
+        e.sharers &= kept;
+        if e.owner.is_some_and(|o| gone & (1 << o) != 0) {
+            e.owner = None;
+        }
+        if e.is_empty() {
+            self.map.remove(line);
+        }
+        gone
     }
 
     /// Remove the whole entry (node-wide invalidation), returning the
@@ -160,6 +187,41 @@ impl SciDirectory {
         }
     }
 
+    /// Clear the dirty marker if a node other than `node` holds it,
+    /// returning that node (a reader on `node` fetched the data). One
+    /// probe reads and clears the marker together.
+    pub fn take_dirty_except(&mut self, line: u64, node: u8) -> Option<u8> {
+        let e = self.map.get_mut(line)?;
+        let d = e.dirty.filter(|d| *d != node)?;
+        e.dirty = None;
+        Some(d)
+    }
+
+    /// Detach `line`'s sharing list for a write's invalidation walk.
+    /// The entry keeps its slot, with an empty list and no dirty
+    /// marker, until [`SciDirectory::finish_write`] settles it.
+    pub fn take_list(&mut self, line: u64) -> Option<Vec<u8>> {
+        let e = self.map.get_mut(line)?;
+        e.dirty = None;
+        Some(std::mem::take(&mut e.list))
+    }
+
+    /// Settle a write whose walk detached `list`: a remote `writer`
+    /// node becomes the only sharer, reusing the list's buffer; a home
+    /// writer (`None`) drops the entry.
+    pub fn finish_write(&mut self, line: u64, mut list: Vec<u8>, writer: Option<u8>) {
+        match writer {
+            Some(node) => {
+                list.clear();
+                list.push(node);
+                self.map.entry_or_insert_with(line, SciEntry::default).list = list;
+            }
+            None => {
+                self.map.remove(line);
+            }
+        }
+    }
+
     /// Clear the dirty marker (data written back / downgraded).
     pub fn clear_dirty(&mut self, line: u64) {
         if let Some(e) = self.map.get_mut(line) {
@@ -181,11 +243,6 @@ impl SciDirectory {
         if remove {
             self.map.remove(line);
         }
-    }
-
-    /// Remove and return the whole sharing list (write invalidation).
-    pub fn take(&mut self, line: u64) -> Option<SciEntry> {
-        self.map.remove(line)
     }
 
     /// Number of lines with remote-sharing state (diagnostics).
@@ -227,9 +284,27 @@ mod tests {
         let e = d.get(5).unwrap();
         assert_eq!(e.sharers, 1 << 7);
         assert_eq!(e.owner, Some(7));
-        d.clear_owner(5);
+        assert_eq!(d.take_owner(5, Some(7)), None, "kept owner stays");
+        assert_eq!(d.take_owner(5, None), Some(7));
         assert_eq!(d.get(5).unwrap().owner, None);
         assert_eq!(d.get(5).unwrap().sharers, 1 << 7);
+        assert_eq!(d.take_owner(5, None), None);
+    }
+
+    #[test]
+    fn remove_sharers_except_keeps_one_and_drops_empty_entries() {
+        let mut d = Directory::new();
+        d.add_sharer(5, 1);
+        d.add_sharer(5, 2);
+        d.add_sharer(5, 6);
+        assert_eq!(d.remove_sharers_except(5, Some(2)), 0b0100_0010);
+        let e = d.get(5).unwrap();
+        assert_eq!((e.sharers, e.owner), (1 << 2, None));
+        assert_eq!(d.remove_sharers_except(5, Some(2)), 0);
+        d.set_owner(5, 3);
+        assert_eq!(d.remove_sharers_except(5, None), 1 << 3);
+        assert!(d.get(5).is_none(), "an emptied entry is dropped");
+        assert_eq!(d.remove_sharers_except(5, None), 0);
     }
 
     #[test]
@@ -272,12 +347,30 @@ mod tests {
     }
 
     #[test]
-    fn sci_take_returns_full_list() {
+    fn sci_take_dirty_except_spares_the_reader_node() {
         let mut s = SciDirectory::new();
-        s.add_sharer(1, 0);
-        s.add_sharer(1, 1);
-        let e = s.take(1).unwrap();
-        assert_eq!(e.list.len(), 2);
-        assert!(s.get(1).is_none());
+        s.set_dirty(4, 2);
+        assert_eq!(s.take_dirty_except(4, 2), None);
+        assert_eq!(s.dirty_node(4), Some(2));
+        assert_eq!(s.take_dirty_except(4, 0), Some(2));
+        assert_eq!(s.dirty_node(4), None);
+        assert_eq!(s.get(4).unwrap().list, vec![2], "the list is untouched");
+    }
+
+    #[test]
+    fn sci_write_walk_reuses_the_entry() {
+        let mut s = SciDirectory::new();
+        s.add_sharer(3, 1);
+        s.set_dirty(3, 2);
+        let list = s.take_list(3).unwrap();
+        assert_eq!(list, vec![2, 1]);
+        assert!(s.get(3).unwrap().list.is_empty());
+        assert_eq!(s.dirty_node(3), None);
+        s.finish_write(3, list, Some(5));
+        assert_eq!(s.get(3).unwrap().list, vec![5]);
+        let list = s.take_list(3).unwrap();
+        s.finish_write(3, list, None);
+        assert!(s.get(3).is_none(), "a home writer drops the entry");
+        assert_eq!(s.take_list(3), None);
     }
 }

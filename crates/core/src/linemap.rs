@@ -126,18 +126,42 @@ impl<V: Default> LineMap<V> {
         }
     }
 
-    /// Get the value for `line`, inserting `default()` if absent.
+    /// Get the value for `line`, inserting `default()` if absent. One
+    /// probe: the walk that misses the key ends on the slot the insert
+    /// fills (a second walk only when the insert grows the table).
     pub fn entry_or_insert_with(&mut self, line: u64, default: impl FnOnce() -> V) -> &mut V {
-        if self.slot_of(line).is_none() {
-            self.insert(line, default());
+        let k = line + 1;
+        let mut i = (hash(k) as usize) & self.mask;
+        loop {
+            match self.keys.get(i) {
+                Some(&s) if s == k => return &mut self.vals[i],
+                Some(&s) if s != EMPTY => i = (i + 1) & self.mask,
+                // An empty slot, or an unallocated table.
+                _ => break,
+            }
         }
-        let i = self.slot_of(line).expect("just inserted");
+        if (self.len + 1) * 10 >= self.keys.len() * 7 {
+            self.insert(line, default());
+            let i = self.slot_of(line).expect("just inserted");
+            return &mut self.vals[i];
+        }
+        if self.vals.len() < self.keys.len() {
+            self.vals.resize_with(self.keys.len(), V::default);
+        }
+        self.keys[i] = k;
+        self.vals[i] = default();
+        self.len += 1;
         &mut self.vals[i]
     }
 
     /// Remove the entry for `line`, returning its value.
     pub fn remove(&mut self, line: u64) -> Option<V> {
-        let mut i = self.slot_of(line)?;
+        let i = self.slot_of(line)?;
+        Some(self.remove_slot(i))
+    }
+
+    /// Remove the entry in occupied slot `i`, returning its value.
+    fn remove_slot(&mut self, mut i: usize) -> V {
         let out = std::mem::take(&mut self.vals[i]);
         // Backshift deletion keeps probe chains intact without
         // tombstones.
@@ -161,7 +185,17 @@ impl<V: Default> LineMap<V> {
             }
             j = (j + 1) & self.mask;
         }
-        Some(out)
+        out
+    }
+
+    /// Remove the entry for `line` if `pred` accepts its value,
+    /// returning it: one probe where a `get` and a `remove` take two.
+    pub fn remove_if(&mut self, line: u64, pred: impl FnOnce(&V) -> bool) -> Option<V> {
+        let i = self.slot_of(line)?;
+        if !pred(&self.vals[i]) {
+            return None;
+        }
+        Some(self.remove_slot(i))
     }
 
     fn grow(&mut self) {
@@ -227,6 +261,17 @@ mod tests {
         m.insert(7, 1u8);
         assert_eq!(m.keys.len(), FIRST_SLOTS);
         assert_eq!(m.get(7), Some(&1));
+    }
+
+    #[test]
+    fn remove_if_removes_only_accepted_values() {
+        let mut m = LineMap::new();
+        m.insert(9, 3u8);
+        assert_eq!(m.remove_if(9, |v| *v == 4), None);
+        assert_eq!(m.get(9), Some(&3));
+        assert_eq!(m.remove_if(9, |v| *v == 3), Some(3));
+        assert!(m.is_empty());
+        assert_eq!(m.remove_if(9, |_| true), None);
     }
 
     #[test]

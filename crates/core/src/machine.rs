@@ -16,7 +16,7 @@
 
 use crate::cache::{Cache, Evicted, LineState};
 use crate::check::CoherenceChecker;
-use crate::config::{CpuId, MachineConfig, NodeId, RingId};
+use crate::config::{CpuId, FuId, MachineConfig, NodeId, RingId};
 use crate::directory::{Directory, SciDirectory};
 use crate::error::{ConfigError, SimError};
 use crate::fault::{FaultPlan, HardFault};
@@ -51,12 +51,20 @@ pub struct Machine {
     pub stats: MemStats,
     /// Per-CPU event counters: every access is also charged to the
     /// issuing CPU — a fault-free hit bumps the same counters here and
-    /// in `stats`, any other access merges its [`MemStats`] delta — so
-    /// `cpu_stats` sums to `stats` for as long as both started from
-    /// zero together (restoring a snapshot restarts the breakdown at
-    /// zero; the global counters are part of the snapshot, the
-    /// breakdown is observability-only).
+    /// in `stats`, any other access merges its per-access `delta` into
+    /// both — so `cpu_stats` sums to `stats` for as long as both
+    /// started from zero together (restoring a snapshot restarts the
+    /// breakdown at zero; the global counters are part of the
+    /// snapshot, the breakdown is observability-only).
     pub(crate) cpu_stats: Vec<MemStats>,
+    /// The counters of the priced access or uncached op in flight:
+    /// backends, hard faults, stalls and recoveries count here, and
+    /// the access merges it into `stats` and `cpu_stats` once at its
+    /// end. Zero between accesses.
+    pub(crate) delta: MemStats,
+    /// Reusable buffer for a snooping broadcast's other holders, so a
+    /// MESI or Dragon miss allocates nothing once it has grown.
+    pub(crate) scratch: Vec<u16>,
     pub(crate) line_shift: u32,
     /// The opt-in per-access observers (checker, race detector,
     /// heatmap); `None` means all are off and every access pays one
@@ -212,6 +220,8 @@ impl Machine {
             snoop: SnoopFilter::new(),
             stats: MemStats::default(),
             cpu_stats: vec![MemStats::default(); cfg.num_cpus()],
+            delta: MemStats::default(),
+            scratch: Vec::new(),
             line_shift,
             dead_cpus: vec![0u64; cfg.num_cpus().div_ceil(64)],
             cfg,
@@ -615,9 +625,11 @@ impl Machine {
     /// other protocol write transition, or any access while a fault
     /// plan is installed. `looked_up` is the issuer's cache state when
     /// [`Machine::access`] already read it (`None` under a fault plan:
-    /// a due hard fault may purge the cache first). The issuer's
-    /// breakdown is charged by snapshot-diff, since a backend or fault
-    /// path may bump any counter.
+    /// a due hard fault may purge the cache first). Everything the
+    /// access counts goes into the machine's `delta`, which is merged
+    /// once into `stats` and once into the issuer's breakdown at the
+    /// end and handed to the observers. The line's home is looked up
+    /// once, for the backend, and only when the backend runs.
     fn priced_access(
         &mut self,
         cpu: CpuId,
@@ -626,51 +638,60 @@ impl Machine {
         looked_up: Option<LineState>,
         write: bool,
     ) -> Cycles {
-        let before = self.stats;
         self.apply_due_hard_faults();
         if write {
-            self.stats.writes += 1;
+            self.delta.writes += 1;
         } else {
-            self.stats.reads += 1;
+            self.delta.reads += 1;
         }
         let state = looked_up.unwrap_or_else(|| self.caches[cpu.0 as usize].lookup(line));
-        let sci_before = self.stats.sci_fetches + self.stats.sci_invalidations;
+        let mut home = None;
         let mut cost = if is_hit(state, write) {
-            self.stats.hits += 1;
+            self.delta.hits += 1;
             self.cfg.latency.cache_hit
-        } else if write {
-            match self.protocol {
-                ProtocolKind::DashSci => DashSci::write_access(self, cpu, addr, line, state),
-                ProtocolKind::Mesi => Mesi::write_access(self, cpu, addr, line, state),
-                ProtocolKind::Dragon => Dragon::write_access(self, cpu, addr, line, state),
-            }
         } else {
-            match self.protocol {
-                ProtocolKind::DashSci => DashSci::read_miss(self, cpu, addr, line),
-                ProtocolKind::Mesi => Mesi::read_miss(self, cpu, addr, line),
-                ProtocolKind::Dragon => Dragon::read_miss(self, cpu, addr, line),
+            let h = self.space.home_of(addr);
+            home = Some(h);
+            match (self.protocol, write) {
+                (ProtocolKind::DashSci, true) => DashSci::write_access(self, cpu, line, h, state),
+                (ProtocolKind::Mesi, true) => Mesi::write_access(self, cpu, line, h, state),
+                (ProtocolKind::Dragon, true) => Dragon::write_access(self, cpu, line, h, state),
+                (ProtocolKind::DashSci, false) => DashSci::read_miss(self, cpu, line, h),
+                (ProtocolKind::Mesi, false) => Mesi::read_miss(self, cpu, line, h),
+                (ProtocolKind::Dragon, false) => Dragon::read_miss(self, cpu, line, h),
             }
         };
         self.inject_transient(cpu, addr, line);
-        cost += self.inject_ring_stall(sci_before);
-        cost += self.inject_link_reroute(addr, sci_before);
+        // An access that crossed the SCI ring may draw a transient
+        // link stall, and pays the reroute penalty if the home ring is
+        // severed.
+        if self.delta.sci_fetches + self.delta.sci_invalidations > 0 {
+            if self.faults.is_some() {
+                cost += self.ring_stall_draw();
+            }
+            if self.failed_rings != 0 {
+                let (_, hfu) = home.unwrap_or_else(|| self.space.home_of(addr));
+                cost += self.reroute_penalty(self.cfg.ring_of_fu(hfu));
+            }
+        }
         self.clock += cost;
-        self.account(cpu, &before);
+        let delta = self.take_delta(cpu);
         if self.obs.is_some() {
-            let delta = self.stats.since(&before);
             self.observe(cpu, addr, cost, write, &delta);
         }
         cost
     }
 
-    /// Charge the global-counter delta since `before` to `cpu`'s
-    /// breakdown: the snapshot-diff half of per-CPU accounting, run
-    /// by priced (non-hit or faulted) accesses and uncached ops.
-    /// Fault-free hits bump `cpu_stats` directly instead.
+    /// Merge the access's counter `delta` into `stats` and into
+    /// `cpu`'s breakdown, leaving it zero; returns it for the
+    /// observers. Run once by every priced access and uncached op
+    /// (fault-free hits bump both directly instead).
     #[inline]
-    fn account(&mut self, cpu: CpuId, before: &MemStats) {
-        let delta = self.stats.since(before);
+    fn take_delta(&mut self, cpu: CpuId) -> MemStats {
+        let delta = std::mem::take(&mut self.delta);
+        self.stats.merge(&delta);
         self.cpu_stats[cpu.0 as usize].merge(&delta);
+        delta
     }
 
     /// Feed one priced access to every mounted observer: the heatmap
@@ -727,35 +748,11 @@ impl Machine {
     fn ring_stall_draw(&mut self) -> Cycles {
         match self.faults.as_mut().and_then(|f| f.ring_stall()) {
             Some(stall) => {
-                self.stats.ring_stalls += 1;
+                self.delta.ring_stalls += 1;
                 stall
             }
             None => 0,
         }
-    }
-
-    /// If the access since `sci_before` crossed the SCI ring, consult
-    /// the fault plan for a transient link stall.
-    fn inject_ring_stall(&mut self, sci_before: u64) -> Cycles {
-        if self.faults.is_none()
-            || self.stats.sci_fetches + self.stats.sci_invalidations == sci_before
-        {
-            return 0;
-        }
-        self.ring_stall_draw()
-    }
-
-    /// If the access since `sci_before` crossed the SCI ring and the
-    /// home ring is severed by a hard link failure, pay the
-    /// rerouted-path penalty.
-    fn inject_link_reroute(&mut self, addr: u64, sci_before: u64) -> Cycles {
-        if self.failed_rings == 0
-            || self.stats.sci_fetches + self.stats.sci_invalidations == sci_before
-        {
-            return 0;
-        }
-        let (_, hfu) = self.space.home_of(addr);
-        self.reroute_penalty(self.cfg.ring_of_fu(hfu))
     }
 
     /// The extra cycles for rerouting traffic around a severed segment
@@ -783,7 +780,7 @@ impl Machine {
                     .unwrap_or(0)
             })
             .unwrap_or(0);
-        self.stats.link_reroutes += 1;
+        self.delta.link_reroutes += 1;
         pen
     }
 
@@ -855,12 +852,12 @@ impl Machine {
             self.caches[cpu.0 as usize].invalidate(line);
             self.dirs[node.0 as usize].remove_sharer(line, in_node);
             self.snoop.remove(line, cpu.0);
-            self.stats.evictions += 1;
+            self.delta.evictions += 1;
             if state.is_dirty() {
                 // Remote-homed dirty lines keep their Modified GCB
                 // copy (inclusion), so the SCI dirty marker stays
                 // backed; home-local dirty data lands in memory.
-                self.stats.writebacks += 1;
+                self.delta.writebacks += 1;
             }
         }
     }
@@ -884,7 +881,7 @@ impl Machine {
             let entries: Vec<(u64, LineState)> = old.entries().collect();
             for (line, state) in entries {
                 if let Some(victim) = self.gcbs[g].fill(line, state) {
-                    self.gcb_rollout(node, ring, victim);
+                    self.gcb_rollout(node, victim);
                 }
             }
         }
@@ -1038,7 +1035,7 @@ impl Machine {
         let mut spent: u64 = 0;
         loop {
             attempts += 1;
-            self.stats.recovery_retries += 1;
+            self.delta.recovery_retries += 1;
             spent = spent.saturating_add(crate::retry_backoff(1, attempts - 1));
             self.restore_line_image(line, &image);
             let persists = self
@@ -1062,7 +1059,7 @@ impl Machine {
             }
             self.apply_transient_corruption(kind, cpu, addr, line);
         }
-        self.stats.recoveries += 1;
+        self.delta.recoveries += 1;
         self.emit(cpu, TraceEvent::Recovery { line, attempts });
         debug_assert!(
             {
@@ -1339,9 +1336,8 @@ impl Machine {
     /// Bypasses all caches; cost depends only on where the semaphore
     /// lives.
     pub fn uncached_op(&mut self, cpu: CpuId, addr: u64) -> Cycles {
-        let before = self.stats;
         self.apply_due_hard_faults();
-        self.stats.uncached_ops += 1;
+        self.delta.uncached_ops += 1;
         let (hnode, hfu) = self.space.home_of(addr);
         let local = self.cfg.latency.uncached_local;
         let extra = self.cfg.latency.uncached_remote_extra;
@@ -1354,12 +1350,12 @@ impl Machine {
             local + extra + self.ring_stall_draw() + self.reroute_penalty(self.cfg.ring_of_fu(hfu))
         };
         self.clock += cost;
-        self.account(cpu, &before);
+        let delta = self.take_delta(cpu);
         // Only the heatmap attributes uncached ops; the checker and the
         // race detector see cached accesses.
         let line = self.line_of(addr);
         if let Some(h) = self.obs.as_deref_mut().and_then(|o| o.heat.as_mut()) {
-            h.note(line, cost, &self.stats.since(&before));
+            h.note(line, cost, &delta);
         }
         cost
     }
@@ -1481,23 +1477,21 @@ impl Machine {
 
     /// Service a read miss under DASH+SCI: find the data, maintain
     /// coherence state, fill the cache. Installs the line Shared.
-    pub(crate) fn read_miss(&mut self, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        let lat = self.cfg.latency.clone();
+    /// `home` is the line's home (node, FU).
+    pub(crate) fn read_miss(&mut self, cpu: CpuId, line: u64, home: (NodeId, FuId)) -> Cycles {
+        let (hnode, hfu) = home;
         let my_node = self.cfg.node_of_cpu(cpu);
         let in_node = self.cfg.cpu_index_in_node(cpu) as u8;
-        let (hnode, hfu) = self.space.home_of(addr);
+        let lat = &self.cfg.latency;
+        let (local_miss, c2c_extra) = (lat.local_miss, lat.c2c_extra);
         let mut cost;
 
-        // Another CPU in this node may hold the only valid copy.
-        let local_owner = self.dirs[my_node.0 as usize]
-            .get(line)
-            .and_then(|e| e.owner)
-            .filter(|o| *o != in_node);
-
-        if let Some(owner_in_node) = local_owner {
+        // Another CPU in this node may hold the only valid copy: it
+        // supplies the line and drops to Shared.
+        if let Some(owner_in_node) = self.dirs[my_node.0 as usize].take_owner(line, Some(in_node)) {
             // Cache-to-cache transfer through the node directory.
-            cost = lat.local_miss + lat.c2c_extra;
-            self.stats.c2c_transfers += 1;
+            cost = local_miss + c2c_extra;
+            self.delta.c2c_transfers += 1;
             self.emit(
                 cpu,
                 TraceEvent::Miss {
@@ -1507,16 +1501,16 @@ impl Machine {
             );
             let owner_cpu = my_node.0 as usize * self.cfg.cpus_per_node() + owner_in_node as usize;
             self.caches[owner_cpu].set_state(line, LineState::Shared);
-            self.dirs[my_node.0 as usize].clear_owner(line);
             // The supplying cache's data also refreshes the local copy
             // (home memory or GCB); dirty tracking is unchanged.
         } else if hnode == my_node {
-            // Home is local. Check whether a remote node holds it dirty.
-            if let Some(d) = self.sci.dirty_node(line).filter(|d| *d != my_node.0) {
+            // Home is local. A remote node holding it dirty supplies
+            // the data and loses its dirty marker.
+            if let Some(d) = self.sci.take_dirty_except(line, my_node.0) {
                 let hops = self.cfg.ring_round_trip_hops(my_node, NodeId(d));
-                cost = lat.local_miss + lat.sci_fetch(hops);
-                self.stats.remote_dirty_fetches += 1;
-                self.stats.sci_fetches += 1;
+                cost = local_miss + self.cfg.latency.sci_fetch(hops);
+                self.delta.remote_dirty_fetches += 1;
+                self.delta.sci_fetches += 1;
                 self.emit(
                     cpu,
                     TraceEvent::Miss {
@@ -1525,10 +1519,9 @@ impl Machine {
                     },
                 );
                 self.downgrade_node(NodeId(d), hfu, line);
-                self.sci.clear_dirty(line);
             } else {
-                cost = lat.local_miss;
-                self.stats.local_misses += 1;
+                cost = local_miss;
+                self.delta.local_misses += 1;
                 self.emit(
                     cpu,
                     TraceEvent::Miss {
@@ -1547,8 +1540,8 @@ impl Machine {
                 // states): GCB hit, serviced within the hypernode
                 // (§2.6).
                 s if s != LineState::Invalid => {
-                    cost = lat.local_miss;
-                    self.stats.gcb_hits += 1;
+                    cost = local_miss;
+                    self.delta.gcb_hits += 1;
                     self.emit(
                         cpu,
                         TraceEvent::Miss {
@@ -1559,8 +1552,8 @@ impl Machine {
                 }
                 _ => {
                     let hops = self.cfg.ring_round_trip_hops(my_node, hnode);
-                    cost = lat.local_miss + lat.sci_fetch(hops);
-                    self.stats.sci_fetches += 1;
+                    cost = local_miss + self.cfg.latency.sci_fetch(hops);
+                    self.delta.sci_fetches += 1;
                     self.emit(
                         cpu,
                         TraceEvent::Miss {
@@ -1568,37 +1561,35 @@ impl Machine {
                             line,
                         },
                     );
-                    // Dirty elsewhere? Home forwards to the owner.
+                    // Dirty elsewhere? Home forwards to the owner. A
+                    // dirty marker on the home node itself is only
+                    // cleared.
                     if let Some(d) = self
                         .sci
-                        .dirty_node(line)
-                        .filter(|d| *d != my_node.0 && *d != hnode.0)
+                        .take_dirty_except(line, my_node.0)
+                        .filter(|d| *d != hnode.0)
                     {
+                        let lat = &self.cfg.latency;
                         cost += lat.sci_list_op
                             + self.cfg.ring_round_trip_hops(hnode, NodeId(d)) * lat.ring_hop / 2;
-                        self.stats.remote_dirty_fetches += 1;
+                        self.delta.remote_dirty_fetches += 1;
                         self.downgrade_node(NodeId(d), hfu, line);
-                        self.sci.clear_dirty(line);
-                    } else if self.sci.dirty_node(line) == Some(hnode.0) {
-                        self.sci.clear_dirty(line);
                     }
                     // A CPU *in the home node* may hold the line
                     // Modified: the home directory supplies the data
                     // from that cache and downgrades it to Shared
                     // (classified as a dirty supply within the one SCI
                     // fetch already counted).
-                    if let Some(owner) = self.dirs[hnode.0 as usize].get(line).and_then(|e| e.owner)
-                    {
+                    if let Some(owner) = self.dirs[hnode.0 as usize].take_owner(line, None) {
                         let owner_cpu =
                             hnode.0 as usize * self.cfg.cpus_per_node() + owner as usize;
                         self.caches[owner_cpu].set_state(line, LineState::Shared);
-                        self.dirs[hnode.0 as usize].clear_owner(line);
-                        cost += lat.c2c_extra;
-                        self.stats.remote_dirty_fetches += 1;
+                        cost += c2c_extra;
+                        self.delta.remote_dirty_fetches += 1;
                     }
                     // Install in the GCB; displaced remote lines roll out.
                     if let Some(victim) = self.gcbs[g].fill(line, LineState::Shared) {
-                        cost += self.gcb_rollout(my_node, ring, victim);
+                        cost += self.gcb_rollout(my_node, victim);
                     }
                     self.sci.add_sharer(line, my_node.0);
                 }
@@ -1620,37 +1611,42 @@ impl Machine {
 
     /// Invalidate every copy of `line` other than `cpu`'s via the
     /// DASH directories and SCI lists, pricing the serial walk the
-    /// writer observes.
-    pub(crate) fn invalidate_others(&mut self, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        let lat = self.cfg.latency.clone();
+    /// writer observes. The SCI entry keeps its slot and its list
+    /// buffer: the walk detaches the list and the writer's node goes
+    /// back into it.
+    pub(crate) fn invalidate_others(
+        &mut self,
+        cpu: CpuId,
+        line: u64,
+        home: (NodeId, FuId),
+    ) -> Cycles {
+        let (hnode, hfu) = home;
         let my_node = self.cfg.node_of_cpu(cpu);
         let in_node = self.cfg.cpu_index_in_node(cpu) as u8;
-        let (hnode, hfu) = self.space.home_of(addr);
-        let mut cost = 0;
+        let remote = hnode != my_node;
 
         // 1. Local sharers, serialized at the node directory.
-        cost += self.invalidate_in_node(my_node, line, Some(in_node), &lat);
+        let mut cost = self.invalidate_in_node(my_node, line, Some(in_node));
 
         // 2. Remote sharers via the SCI reference tree.
-        let entry = self.sci.take(line);
-        if let Some(e) = entry {
-            // A remote writer first negotiates with the home node.
-            if hnode != my_node {
-                cost += lat.sci_base + self.cfg.ring_round_trip_hops(my_node, hnode) * lat.ring_hop;
+        if let Some(list) = self.sci.take_list(line) {
+            if remote {
+                // A remote writer first negotiates with the home node.
+                cost += self.home_negotiation(my_node, hnode);
                 // Home-node CPUs caching the line are invalidated by
                 // the home directory.
-                cost += self.invalidate_in_node(hnode, line, None, &lat);
+                cost += self.invalidate_in_node(hnode, line, None);
             }
             let mut walked = 0u8;
-            for n in e.list {
+            for &n in &list {
                 if n == my_node.0 {
                     continue; // our own GCB copy stays (we own the line now)
                 }
                 let hops = self.cfg.ring_round_trip_hops(hnode, NodeId(n));
-                cost += lat.sci_invalidate_one(hops);
-                self.stats.sci_invalidations += 1;
+                cost += self.cfg.latency.sci_invalidate_one(hops);
+                self.delta.sci_invalidations += 1;
                 walked += 1;
-                self.invalidate_node_copy(NodeId(n), hfu, line, &lat, &mut cost);
+                cost += self.invalidate_node_copy(NodeId(n), hfu, line);
             }
             if walked > 0 {
                 self.emit(
@@ -1662,91 +1658,81 @@ impl Machine {
                 );
             }
             // If we are remote, we remain the sole sharing node.
-            if hnode != my_node {
-                self.sci.add_sharer(line, my_node.0);
-            }
-        } else if hnode != my_node {
+            self.sci
+                .finish_write(line, list, remote.then_some(my_node.0));
+        } else if remote {
             // No other sharers, but a remote writer still tells home.
-            cost += lat.sci_base + self.cfg.ring_round_trip_hops(my_node, hnode) * lat.ring_hop;
+            cost += self.home_negotiation(my_node, hnode);
             // Home-node CPUs might share it without an SCI entry
             // (they're tracked by the home directory, not SCI).
-            cost += self.invalidate_in_node(hnode, line, None, &lat);
+            cost += self.invalidate_in_node(hnode, line, None);
             self.sci.add_sharer(line, my_node.0);
         }
         cost
     }
 
+    /// The SCI transaction a remote writer on `my_node` runs with the
+    /// line's home node before it may own the line.
+    fn home_negotiation(&self, my_node: NodeId, hnode: NodeId) -> Cycles {
+        let lat = &self.cfg.latency;
+        lat.sci_base + self.cfg.ring_round_trip_hops(my_node, hnode) * lat.ring_hop
+    }
+
     /// Invalidate all CPU copies of `line` within `node`, except
-    /// `keep` (CPU index in node).
-    fn invalidate_in_node(
-        &mut self,
-        node: NodeId,
-        line: u64,
-        keep: Option<u8>,
-        lat: &crate::latency::LatencyModel,
-    ) -> Cycles {
-        let mut cost = 0;
-        if let Some(e) = self.dirs[node.0 as usize].get(line) {
-            for b in 0..self.cfg.cpus_per_node() as u8 {
-                if e.sharers & (1 << b) == 0 || keep == Some(b) {
-                    continue;
-                }
-                let cpu = node.0 as usize * self.cfg.cpus_per_node() + b as usize;
-                self.caches[cpu].invalidate(line);
-                self.dirs[node.0 as usize].remove_sharer(line, b);
-                self.stats.invalidations += 1;
-                cost += lat.inv_local;
-            }
+    /// `keep` (CPU index in node); returns the serialized cost.
+    fn invalidate_in_node(&mut self, node: NodeId, line: u64, keep: Option<u8>) -> Cycles {
+        let gone = self.dirs[node.0 as usize].remove_sharers_except(line, keep);
+        self.invalidate_cpu_copies(node, line, gone)
+    }
+
+    /// Invalidate the copies of `line` held by the CPUs of `node` in
+    /// the in-node bitmask `sharers`, counting each; returns their
+    /// serialized cost.
+    fn invalidate_cpu_copies(&mut self, node: NodeId, line: u64, sharers: u8) -> Cycles {
+        let base = node.0 as usize * self.cfg.cpus_per_node();
+        let mut bits = sharers;
+        while bits != 0 {
+            self.caches[base + bits.trailing_zeros() as usize].invalidate(line);
+            bits &= bits - 1;
         }
-        cost
+        let n = u64::from(sharers.count_ones());
+        self.delta.invalidations += n;
+        n * self.cfg.latency.inv_local
     }
 
     /// Remove node `n`'s copy of a remote `line` entirely: its GCB
-    /// entry and any CPU caches holding it.
-    fn invalidate_node_copy(
-        &mut self,
-        n: NodeId,
-        hfu: crate::config::FuId,
-        line: u64,
-        lat: &crate::latency::LatencyModel,
-        cost: &mut Cycles,
-    ) {
+    /// entry and any CPU caches holding it; returns the cost of the
+    /// CPU invalidations.
+    fn invalidate_node_copy(&mut self, n: NodeId, hfu: FuId, line: u64) -> Cycles {
         let ring = self.cfg.ring_of_fu(hfu);
         let g = self.gcb_index(n, ring);
         self.gcbs[g].invalidate(line);
-        if let Some(e) = self.dirs[n.0 as usize].take(line) {
-            for b in 0..self.cfg.cpus_per_node() as u8 {
-                if e.sharers & (1 << b) != 0 {
-                    let cpu = n.0 as usize * self.cfg.cpus_per_node() + b as usize;
-                    self.caches[cpu].invalidate(line);
-                    self.stats.invalidations += 1;
-                    *cost += lat.inv_local;
-                }
-            }
+        match self.dirs[n.0 as usize].take(line) {
+            Some(e) => self.invalidate_cpu_copies(n, line, e.sharers),
+            None => 0,
         }
     }
 
     /// Downgrade node `d`'s dirty copy of `line` to Shared (a reader
     /// elsewhere fetched the data).
-    fn downgrade_node(&mut self, d: NodeId, hfu: crate::config::FuId, line: u64) {
-        if let Some(owner) = self.dirs[d.0 as usize].get(line).and_then(|e| e.owner) {
+    fn downgrade_node(&mut self, d: NodeId, hfu: FuId, line: u64) {
+        if let Some(owner) = self.dirs[d.0 as usize].take_owner(line, None) {
             let cpu = d.0 as usize * self.cfg.cpus_per_node() + owner as usize;
             self.caches[cpu].set_state(line, LineState::Shared);
-            self.dirs[d.0 as usize].clear_owner(line);
         }
         let ring = self.cfg.ring_of_fu(hfu);
         let g = self.gcb_index(d, ring);
         if self.gcbs[g].lookup(line) == LineState::Modified {
             self.gcbs[g].set_state(line, LineState::Shared);
-            self.stats.writebacks += 1;
+            self.delta.writebacks += 1;
         }
     }
 
     /// If `cpu` just took ownership of a line homed remotely, record
     /// the dirty copy in its node's GCB and the SCI tree.
-    pub(crate) fn mark_dirty_if_remote(&mut self, cpu: CpuId, addr: u64, line: u64) {
+    pub(crate) fn mark_dirty_if_remote(&mut self, cpu: CpuId, line: u64, home: (NodeId, FuId)) {
         let my_node = self.cfg.node_of_cpu(cpu);
-        let (hnode, hfu) = self.space.home_of(addr);
+        let (hnode, hfu) = home;
         if hnode != my_node {
             self.sci.set_dirty(line, my_node.0);
             let ring = self.cfg.ring_of_fu(hfu);
@@ -1756,7 +1742,7 @@ impl Machine {
                 if let Some(victim) = self.gcbs[g].fill(line, LineState::Modified) {
                     // Rollout cost is charged lazily to stats only; the
                     // triggering write already paid its SCI transaction.
-                    self.gcb_rollout(my_node, ring, victim);
+                    self.gcb_rollout(my_node, victim);
                 }
             } else {
                 self.gcbs[g].set_state(line, LineState::Modified);
@@ -1771,26 +1757,24 @@ impl Machine {
     /// A CPU cache eviction: update the node directory; write dirty
     /// data back toward home.
     fn cpu_evict(&mut self, cpu: CpuId, my_node: NodeId, victim: Evicted) -> Cycles {
-        let lat = self.cfg.latency.clone();
         let in_node = self.cfg.cpu_index_in_node(cpu) as u8;
-        self.stats.evictions += 1;
+        self.delta.evictions += 1;
         self.dirs[my_node.0 as usize].remove_sharer(victim.line, in_node);
         if victim.state == LineState::Modified {
-            self.stats.writebacks += 1;
+            self.delta.writebacks += 1;
             // Dirty data lands in local memory (home-local line) or in
             // the node's GCB (remote line, which stays Modified there);
             // either way it is a within-node transfer.
-            return lat.writeback;
+            return self.cfg.latency.writeback;
         }
         0
     }
 
-    /// Displace a line from a global cache buffer: detach from the SCI
-    /// list, invalidate local CPU copies (inclusion), write back if
-    /// dirty.
-    fn gcb_rollout(&mut self, node: NodeId, ring: RingId, victim: Evicted) -> Cycles {
-        let lat = self.cfg.latency.clone();
-        self.stats.gcb_rollouts += 1;
+    /// Displace a line from one of `node`'s global cache buffers:
+    /// detach from the SCI list, invalidate local CPU copies
+    /// (inclusion), write back if dirty.
+    fn gcb_rollout(&mut self, node: NodeId, victim: Evicted) -> Cycles {
+        self.delta.gcb_rollouts += 1;
         if self.tracer.is_some() {
             let rec = TraceRecord {
                 at: self.clock,
@@ -1802,23 +1786,15 @@ impl Machine {
                 t.record(rec);
             }
         }
-        let mut cost = lat.sci_list_op;
+        let mut cost = self.cfg.latency.sci_list_op;
         if let Some(e) = self.dirs[node.0 as usize].take(victim.line) {
-            for b in 0..self.cfg.cpus_per_node() as u8 {
-                if e.sharers & (1 << b) != 0 {
-                    let cpu = node.0 as usize * self.cfg.cpus_per_node() + b as usize;
-                    self.caches[cpu].invalidate(victim.line);
-                    self.stats.invalidations += 1;
-                    cost += lat.inv_local;
-                }
-            }
+            cost += self.invalidate_cpu_copies(node, victim.line, e.sharers);
         }
         self.sci.remove_sharer(victim.line, node.0);
         if victim.state == LineState::Modified {
-            self.stats.writebacks += 1;
-            cost += lat.writeback;
+            self.delta.writebacks += 1;
+            cost += self.cfg.latency.writeback;
         }
-        let _ = ring;
         cost
     }
 
@@ -2767,33 +2743,133 @@ mod tests {
 
     #[test]
     fn heat_partition_holds_on_a_real_workload() {
-        let mut m = m2().with_heatmap();
-        mixed_workload(&mut m);
-        assert!(m.heat_partition_check(), "attribution must partition");
-        let h = m.heatmap().unwrap();
-        assert!(h.touched_lines() > 0);
-        assert_eq!(h.totals().total_cycles(), m.clock());
-        let hottest = h.hottest(5);
-        assert!(!hottest.is_empty());
-        // Remote traffic exists, so some line must be attributed
-        // beyond the local level.
-        assert!(hottest
-            .iter()
-            .any(|(_, c)| c.dominant_level() != crate::heat::ServiceLevel::Hit));
+        for proto in ProtocolKind::ALL {
+            let mut m = m2().with_protocol(proto).with_heatmap();
+            mixed_workload(&mut m);
+            assert!(
+                m.heat_partition_check(),
+                "{proto:?}: attribution must partition"
+            );
+            let h = m.heatmap().unwrap();
+            assert!(h.touched_lines() > 0);
+            assert_eq!(h.totals().total_cycles(), m.clock(), "{proto:?}");
+            let hottest = h.hottest(5);
+            assert!(!hottest.is_empty());
+            // Remote traffic exists, so some line must be attributed
+            // beyond the local level.
+            assert!(hottest
+                .iter()
+                .any(|(_, c)| c.dominant_level() != crate::heat::ServiceLevel::Hit));
+        }
     }
 
     #[test]
     fn heatmap_mounted_mid_run_partitions_the_suffix() {
-        let mut m = m2();
-        mixed_workload(&mut m);
-        let mid = m.clock();
-        assert!(mid > 0);
-        m = m.with_heatmap();
-        mixed_workload(&mut m);
-        assert!(m.heat_partition_check());
-        let h = m.heatmap().unwrap();
-        assert_eq!(h.start_clock(), mid);
-        assert_eq!(h.totals().total_cycles(), m.clock() - mid);
+        for proto in ProtocolKind::ALL {
+            let mut m = m2().with_protocol(proto);
+            mixed_workload(&mut m);
+            let mid = m.clock();
+            assert!(mid > 0);
+            m = m.with_heatmap();
+            mixed_workload(&mut m);
+            assert!(m.heat_partition_check(), "{proto:?}");
+            let h = m.heatmap().unwrap();
+            assert_eq!(h.start_clock(), mid);
+            assert_eq!(h.totals().total_cycles(), m.clock() - mid, "{proto:?}");
+        }
+    }
+
+    /// `a + b`, field by field.
+    fn heat_sum(a: &crate::heat::HeatCell, b: &crate::heat::HeatCell) -> crate::heat::HeatCell {
+        let mut s = *a;
+        for (x, y) in s.cycles.iter_mut().zip(b.cycles) {
+            *x += y;
+        }
+        s.accesses += b.accesses;
+        s.local_misses += b.local_misses;
+        s.gcb_hits += b.gcb_hits;
+        s.sci_fetches += b.sci_fetches;
+        s.c2c_transfers += b.c2c_transfers;
+        s.upgrades += b.upgrades;
+        s.inval_walks += b.inval_walks;
+        s.uncached_ops += b.uncached_ops;
+        s
+    }
+
+    /// Every access's counter delta, checked against an oracle the
+    /// test computes itself: `stats.since(before)` must be exactly what
+    /// the issuing CPU's breakdown gained (no other CPU's row moves)
+    /// and what the heatmap was handed, under every protocol, for
+    /// cached accesses and uncached ops alike, with transient faults
+    /// and with hard faults (a CPU kill, a GCB degrade and a link
+    /// failure) firing inside priced accesses.
+    #[test]
+    fn every_access_delta_matches_a_since_oracle() {
+        let transient = FaultPlan::new(41)
+            .with_ring_stalls(0.3, 200)
+            .with_inval_dups(0.05)
+            .with_line_corruption(0.02);
+        let hard = FaultPlan::new(42)
+            .with_cpu_failure(9, 20_000)
+            .with_gcb_degrade(0, 10_000)
+            .with_link_failure(1, 5_000, 400);
+        for proto in ProtocolKind::ALL {
+            for plan in [None, Some(&transient), Some(&hard)] {
+                let mut m = Machine::new(MachineConfig::tiny(2))
+                    .with_protocol(proto)
+                    .with_heatmap();
+                if let Some(p) = plan {
+                    m = m.with_faults(p.clone());
+                }
+                let r = m.alloc(MemClass::FarShared, 16 * 1024);
+                let sem = m.alloc(MemClass::NearShared { node: NodeId(1) }, 64);
+                let conflict = m.config().cache_bytes as u64;
+                let mut seen = MemStats::default();
+                for i in 0..600u64 {
+                    let cpu = CpuId((i * 5 % 16) as u16);
+                    let a = r.addr(i * 24 % (8 * 1024));
+                    // Miss or hit, hit, upgrade or write miss, conflict
+                    // miss, and now and then a semaphore.
+                    for op in 0..5 {
+                        let before = m.stats;
+                        let row = m.cpu_stats[cpu.0 as usize];
+                        let heat = m.heatmap().unwrap().totals();
+                        let cost = match op {
+                            0 | 1 => m.read(cpu, a),
+                            2 if i % 3 == 0 => m.write(cpu, a),
+                            3 => m.read(cpu, a + conflict),
+                            4 if i % 7 == 0 => m.uncached_op(cpu, sem.addr(0)),
+                            _ => continue,
+                        };
+                        let oracle = m.stats.since(&before);
+                        let ctx = format!("{proto:?}, plan {}, access {i}.{op}", plan.is_some());
+                        assert_eq!(m.delta, MemStats::default(), "{ctx}: delta left over");
+                        assert_eq!(m.cpu_stats[cpu.0 as usize].since(&row), oracle, "{ctx}");
+                        assert_eq!(sum_of(m.per_cpu_stats()), m.stats, "{ctx}: rows moved");
+                        let mut one = HeatMap::new(0, MemStats::default());
+                        one.note(0, cost, &oracle);
+                        let want = heat_sum(&heat, &one.totals());
+                        assert_eq!(m.heatmap().unwrap().totals(), want, "{ctx}: heatmap");
+                        seen.merge(&oracle);
+                    }
+                }
+                assert!(m.heat_partition_check());
+                let s = seen;
+                assert!(
+                    s.misses() > 0 && s.hits > 0 && s.uncached_ops > 0 && s.evictions > 0,
+                    "{proto:?}: the stream must miss, hit, evict and run semaphores: {s}"
+                );
+                if plan == Some(&transient) {
+                    assert!(s.recoveries > 0 && s.ring_stalls > 0, "{proto:?}: {s}");
+                }
+                if plan == Some(&hard) {
+                    assert!(!m.hard_faults_pending(), "{proto:?}: hard faults pending");
+                    assert_eq!(m.dead_cpu_list(), vec![CpuId(9)], "{proto:?}");
+                    assert_ne!(m.degraded_nodes(), 0, "{proto:?}");
+                    assert!(s.link_reroutes > 0, "{proto:?}: {s}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,13 +76,23 @@ pub struct AddressSpace {
     names: Vec<Option<String>>,
     cursor: u64,
     page: u64,
+    /// `log2(page)`: a validated configuration's page size is a power
+    /// of two, so page arithmetic on the home-lookup path shifts
+    /// instead of dividing.
+    page_shift: u32,
     fus_per_node: usize,
     hypernodes: usize,
 }
 
 impl AddressSpace {
-    /// Create an address space for the given machine.
+    /// Create an address space for the given machine, whose page size
+    /// must be a power of two (as [`MachineConfig::validate`] requires).
     pub fn new(cfg: &MachineConfig) -> Self {
+        assert!(
+            cfg.page_bytes.is_power_of_two(),
+            "page_bytes {} is not a power of two",
+            cfg.page_bytes
+        );
         AddressSpace {
             regions: Vec::new(),
             names: Vec::new(),
@@ -90,6 +100,7 @@ impl AddressSpace {
             // allocations page-aligned.
             cursor: cfg.page_bytes as u64,
             page: cfg.page_bytes as u64,
+            page_shift: cfg.page_bytes.trailing_zeros(),
             fus_per_node: cfg.fus_per_node,
             hypernodes: cfg.hypernodes,
         }
@@ -118,7 +129,7 @@ impl AddressSpace {
             }
         }
         let base = self.cursor;
-        let padded = len.div_ceil(self.page) * self.page;
+        let padded = self.page_round_up(len);
         // Guard page between regions: staggers equal-sized arrays so
         // they don't land at exact multiples of the (power-of-two)
         // cache size and alias to the same direct-mapped slot — the
@@ -143,7 +154,13 @@ impl AddressSpace {
             return None;
         }
         let r = &self.regions[i - 1];
-        (addr < r.base + r.len.max(1).div_ceil(self.page) * self.page).then_some(i - 1)
+        (addr < r.base + self.page_round_up(r.len.max(1))).then_some(i - 1)
+    }
+
+    /// `len` rounded up to whole pages.
+    #[inline]
+    fn page_round_up(&self, len: u64) -> u64 {
+        (((len - 1) >> self.page_shift) + 1) << self.page_shift
     }
 
     /// Label the region whose base address is `base` (no-op for an
@@ -189,7 +206,7 @@ impl AddressSpace {
         let r = self
             .region_of(addr)
             .ok_or(SimError::UnmappedAddress { addr })?;
-        let page_in_region = (addr - r.base) / self.page;
+        let page_in_region = (addr - r.base) >> self.page_shift;
         Ok(match r.class {
             MemClass::ThreadPrivate { home } => {
                 (NodeId((home.0 as usize / self.fus_per_node) as u8), home)

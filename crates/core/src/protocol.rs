@@ -39,7 +39,7 @@
 //! holds under every backend.
 
 use crate::cache::{Evicted, LineState};
-use crate::config::CpuId;
+use crate::config::{CpuId, FuId, NodeId};
 use crate::latency::Cycles;
 use crate::linemap::LineMap;
 use crate::machine::Machine;
@@ -113,17 +113,24 @@ impl std::fmt::Display for ProtocolKind {
 
 /// The seam every backend implements. The machine's access wrappers
 /// decide plain hits themselves and call at most one of these per
-/// cached access, with the line address and the issuer's looked-up
-/// state already computed; implementations mutate coherence state,
-/// bump the relevant [`crate::MemStats`] counters (hit or exactly one
-/// miss class per access — the conservation invariant), and return
-/// the cycles the issuing CPU observes.
+/// cached access, with the line, its home `(node, FU)` and the
+/// issuer's looked-up state already computed; implementations mutate
+/// coherence state, count into the access's [`crate::MemStats`] delta
+/// (hit or exactly one miss class per access — the conservation
+/// invariant), and return the cycles the issuing CPU observes.
 pub trait CoherenceProtocol {
-    /// Service a read miss of `line` (containing `addr`) by `cpu`.
-    fn read_miss(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles;
-    /// Service a write to `line` by `cpu`, whose copy is in `state`
-    /// (never [`LineState::Modified`]: that is a plain hit).
-    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, state: LineState) -> Cycles;
+    /// Service a read miss of `line`, homed at `home`, by `cpu`.
+    fn read_miss(m: &mut Machine, cpu: CpuId, line: u64, home: (NodeId, FuId)) -> Cycles;
+    /// Service a write to `line`, homed at `home`, by `cpu`, whose
+    /// copy is in `state` (never [`LineState::Modified`]: that is a
+    /// plain hit).
+    fn write_access(
+        m: &mut Machine,
+        cpu: CpuId,
+        line: u64,
+        home: (NodeId, FuId),
+        state: LineState,
+    ) -> Cycles;
     /// Price a read miss of `line` against the current state without
     /// mutating anything (the twin of [`Machine::peek_read_cost`]).
     fn peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles;
@@ -154,11 +161,25 @@ impl SnoopFilter {
         }
     }
 
-    /// Drop `cpu` from `line`'s holder list; empty lists are removed.
+    /// Drop `cpu` from `line`'s holder list; an emptied list is removed.
     pub(crate) fn remove(&mut self, line: u64, cpu: u16) {
+        self.retain(line, |c| c != cpu);
+    }
+
+    /// Make `cpu` the only holder of `line` (a write's invalidation
+    /// broadcast) in one probe, reusing the list's buffer.
+    pub(crate) fn set_sole_holder(&mut self, line: u64, cpu: u16) {
+        let v = self.holders.entry_or_insert_with(line, Vec::new);
+        v.clear();
+        v.push(cpu);
+    }
+
+    /// Drop every holder of `line` that `keep` rejects; an emptied
+    /// list is removed.
+    fn retain(&mut self, line: u64, keep: impl Fn(u16) -> bool) {
         let empty = match self.holders.get_mut(line) {
             Some(v) => {
-                v.retain(|c| *c != cpu);
+                v.retain(|c| keep(*c));
                 v.is_empty()
             }
             None => false,
@@ -166,15 +187,6 @@ impl SnoopFilter {
         if empty {
             self.holders.remove(line);
         }
-    }
-
-    /// The holders of `line` other than `cpu` (the caches a broadcast
-    /// from `cpu` reaches).
-    pub(crate) fn others(&self, line: u64, cpu: u16) -> Vec<u16> {
-        self.holders
-            .get(line)
-            .map(|v| v.iter().copied().filter(|c| *c != cpu).collect())
-            .unwrap_or_default()
     }
 
     /// All holders of `line`.
@@ -199,6 +211,24 @@ impl SnoopFilter {
     }
 }
 
+/// Run `f` on the holders of `line` other than `cpu` (the caches a
+/// broadcast from `cpu` reaches), gathered with one filter probe into
+/// the machine's reusable scratch buffer, so a snoop allocates nothing
+/// once the buffer has grown.
+fn with_other_holders<R>(
+    m: &mut Machine,
+    line: u64,
+    cpu: CpuId,
+    f: impl FnOnce(&mut Machine, &[u16]) -> R,
+) -> R {
+    let mut others = std::mem::take(&mut m.scratch);
+    others.clear();
+    others.extend(m.snoop.holders(line).iter().filter(|&&c| c != cpu.0));
+    let r = f(m, &others);
+    m.scratch = others;
+    r
+}
+
 /// The SPP-1000's DASH + SCI stack (see the [module docs](self)).
 ///
 /// The implementation bodies live in [`crate::machine`]'s historical
@@ -209,43 +239,54 @@ impl SnoopFilter {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DashSci;
 
+impl DashSci {
+    /// The writer takes ownership: its copy goes Modified, its node
+    /// directory records it as owner, and a remote-homed line is
+    /// marked dirty in the GCB and the SCI tree.
+    fn own(m: &mut Machine, cpu: CpuId, line: u64, home: (NodeId, FuId)) {
+        let my_node = m.cfg.node_of_cpu(cpu);
+        let in_node = m.cfg.cpu_index_in_node(cpu) as u8;
+        m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
+        m.dirs[my_node.0 as usize].set_owner(line, in_node);
+        m.mark_dirty_if_remote(cpu, line, home);
+    }
+}
+
 impl CoherenceProtocol for DashSci {
-    fn read_miss(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        m.read_miss(cpu, addr, line)
+    fn read_miss(m: &mut Machine, cpu: CpuId, line: u64, home: (NodeId, FuId)) -> Cycles {
+        m.read_miss(cpu, line, home)
     }
 
-    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, state: LineState) -> Cycles {
+    fn write_access(
+        m: &mut Machine,
+        cpu: CpuId,
+        line: u64,
+        home: (NodeId, FuId),
+        state: LineState,
+    ) -> Cycles {
         match state {
             LineState::Shared => {
                 // Write upgrade: the data is present (a hit), but
                 // exclusivity must be obtained.
-                m.stats.hits += 1;
-                let cost = m.invalidate_others(cpu, addr, line);
-                m.stats.upgrades += 1;
+                m.delta.hits += 1;
+                let cost = m.invalidate_others(cpu, line, home);
+                m.delta.upgrades += 1;
                 m.emit(cpu, TraceEvent::Upgrade { line });
-                let my_node = m.cfg.node_of_cpu(cpu);
-                let in_node = m.cfg.cpu_index_in_node(cpu) as u8;
-                m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
-                m.dirs[my_node.0 as usize].set_owner(line, in_node);
-                m.mark_dirty_if_remote(cpu, addr, line);
+                Self::own(m, cpu, line, home);
                 m.cfg.latency.cache_hit + m.cfg.latency.dir_op + cost
             }
             LineState::Invalid => {
                 // Read-exclusive: fetch + invalidate + own.
-                let fetch = m.read_miss(cpu, addr, line);
-                let inv = m.invalidate_others(cpu, addr, line);
-                m.stats.upgrades += 1;
+                let fetch = m.read_miss(cpu, line, home);
+                let inv = m.invalidate_others(cpu, line, home);
+                m.delta.upgrades += 1;
                 m.emit(cpu, TraceEvent::Upgrade { line });
                 // A dead CPU's drained store is serviced by the node
                 // controller (write-through): it never takes
                 // ownership, so the line ends up Shared at node level
                 // with no CPU copy.
                 if !m.is_cpu_dead(cpu) {
-                    let my_node = m.cfg.node_of_cpu(cpu);
-                    let in_node = m.cfg.cpu_index_in_node(cpu) as u8;
-                    m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
-                    m.dirs[my_node.0 as usize].set_owner(line, in_node);
-                    m.mark_dirty_if_remote(cpu, addr, line);
+                    Self::own(m, cpu, line, home);
                 }
                 fetch + inv
             }
@@ -270,9 +311,7 @@ impl CoherenceProtocol for DashSci {
             cost = lat.local_miss + lat.c2c_extra;
         } else if hnode == my_node {
             if let Some(d) = m.sci.dirty_node(line).filter(|d| *d != my_node.0) {
-                let hops = m
-                    .cfg
-                    .ring_round_trip_hops(my_node, crate::config::NodeId(d));
+                let hops = m.cfg.ring_round_trip_hops(my_node, NodeId(d));
                 cost = lat.local_miss + lat.sci_fetch(hops);
             } else {
                 cost = lat.local_miss;
@@ -290,9 +329,7 @@ impl CoherenceProtocol for DashSci {
                         .filter(|d| *d != my_node.0 && *d != hnode.0)
                     {
                         cost += lat.sci_list_op
-                            + m.cfg.ring_round_trip_hops(hnode, crate::config::NodeId(d))
-                                * lat.ring_hop
-                                / 2;
+                            + m.cfg.ring_round_trip_hops(hnode, NodeId(d)) * lat.ring_hop / 2;
                     }
                     if m.dirs[hnode.0 as usize]
                         .get(line)
@@ -323,13 +360,88 @@ impl CoherenceProtocol for DashSci {
 /// A CPU cache eviction under the snooping backends: drop the victim
 /// from the holder filter; dirty victims (`M` or `Sm`) write back.
 fn snoop_evict(m: &mut Machine, cpu: CpuId, victim: Evicted) -> Cycles {
-    m.stats.evictions += 1;
+    m.delta.evictions += 1;
     m.snoop.remove(victim.line, cpu.0);
     if victim.state.is_dirty() {
-        m.stats.writebacks += 1;
+        m.delta.writebacks += 1;
         m.cfg.latency.writeback
     } else {
         0
+    }
+}
+
+/// Install `line` in `cpu`'s cache in `state` under a snooping
+/// backend: a displaced victim leaves the filter (and writes back if
+/// dirty), and `cpu` joins the line's holders. Returns the victim's
+/// cost.
+fn snoop_fill(m: &mut Machine, cpu: CpuId, line: u64, state: LineState) -> Cycles {
+    let cost = match m.caches[cpu.0 as usize].fill(line, state) {
+        Some(victim) => snoop_evict(m, cpu, victim),
+        None => 0,
+    };
+    m.snoop.add(line, cpu.0);
+    cost
+}
+
+/// Memory supplies a snooping miss: at home-local cost when `cpu`'s
+/// node is the line's home, otherwise over the SCI distance to it.
+/// Counts and traces the miss.
+fn snoop_memory_fetch(m: &mut Machine, cpu: CpuId, line: u64, home: (NodeId, FuId)) -> Cycles {
+    let my_node = m.cfg.node_of_cpu(cpu);
+    let (hnode, _) = home;
+    if hnode == my_node {
+        m.delta.local_misses += 1;
+        m.emit(
+            cpu,
+            TraceEvent::Miss {
+                kind: MissKind::Local,
+                line,
+            },
+        );
+        m.cfg.latency.local_miss
+    } else {
+        let hops = m.cfg.ring_round_trip_hops(my_node, hnode);
+        m.delta.sci_fetches += 1;
+        m.emit(
+            cpu,
+            TraceEvent::Miss {
+                kind: MissKind::Sci,
+                line,
+            },
+        );
+        m.cfg.latency.local_miss + m.cfg.latency.sci_fetch(hops)
+    }
+}
+
+/// A dirty peer supplies a snooping miss cache-to-cache. Counts and
+/// traces the transfer.
+fn snoop_c2c(m: &mut Machine, cpu: CpuId, line: u64) -> Cycles {
+    m.delta.c2c_transfers += 1;
+    m.emit(
+        cpu,
+        TraceEvent::Miss {
+            kind: MissKind::C2c,
+            line,
+        },
+    );
+    m.cfg.latency.local_miss + m.cfg.latency.c2c_extra
+}
+
+/// The first of `others` holding `line` dirty, if any.
+fn dirty_holder(m: &Machine, line: u64, others: &[u16]) -> Option<u16> {
+    others
+        .iter()
+        .copied()
+        .find(|&c| m.caches[c as usize].lookup(line).is_dirty())
+}
+
+/// Demote the `Exclusive` copies among `others` to `Shared` (another
+/// cache now holds the line too).
+fn demote_exclusive(m: &mut Machine, line: u64, others: &[u16]) {
+    for &h in others {
+        if m.caches[h as usize].lookup(line) == LineState::Exclusive {
+            m.caches[h as usize].set_state(line, LineState::Shared);
+        }
     }
 }
 
@@ -339,10 +451,11 @@ fn snoop_evict(m: &mut Machine, cpu: CpuId, victim: Evicted) -> Cycles {
 /// the peek twin of the mutating miss paths.
 fn snoop_peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
     let lat = &m.cfg.latency;
-    let others = m.snoop.others(line, cpu.0);
-    let dirty = others
+    let dirty = m
+        .snoop
+        .holders(line)
         .iter()
-        .any(|&c| m.caches[c as usize].lookup(line).is_dirty());
+        .any(|&c| c != cpu.0 && m.caches[c as usize].lookup(line).is_dirty());
     let mut cost = if dirty {
         lat.local_miss + lat.c2c_extra
     } else {
@@ -372,125 +485,106 @@ impl Mesi {
     /// invalidates them; a read demotes `M`/`E` to `S`), and install
     /// the line — `M` for writes, `E` when this is the sole copy, `S`
     /// otherwise.
-    fn miss_fetch(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, for_write: bool) -> Cycles {
-        let lat = m.cfg.latency.clone();
-        m.stats.snoops += 1;
+    fn miss_fetch(
+        m: &mut Machine,
+        cpu: CpuId,
+        line: u64,
+        home: (NodeId, FuId),
+        for_write: bool,
+    ) -> Cycles {
+        m.delta.snoops += 1;
         m.emit(cpu, TraceEvent::Snoop { line });
-        let others = m.snoop.others(line, cpu.0);
-        let dirty = others
-            .iter()
-            .copied()
-            .find(|&c| m.caches[c as usize].lookup(line).is_dirty());
-        let mut cost;
-        if let Some(owner) = dirty {
-            // Dirty peer supplies cache-to-cache (and writes back).
-            cost = lat.local_miss + lat.c2c_extra;
-            m.stats.c2c_transfers += 1;
-            m.emit(
-                cpu,
-                TraceEvent::Miss {
-                    kind: MissKind::C2c,
-                    line,
-                },
-            );
-            if !for_write {
-                m.caches[owner as usize].set_state(line, LineState::Shared);
-            }
-        } else {
-            let my_node = m.cfg.node_of_cpu(cpu);
-            let (hnode, _) = m.space.home_of(addr);
-            if hnode == my_node {
-                cost = lat.local_miss;
-                m.stats.local_misses += 1;
-                m.emit(
-                    cpu,
-                    TraceEvent::Miss {
-                        kind: MissKind::Local,
-                        line,
-                    },
-                );
-            } else {
-                let hops = m.cfg.ring_round_trip_hops(my_node, hnode);
-                cost = lat.local_miss + lat.sci_fetch(hops);
-                m.stats.sci_fetches += 1;
-                m.emit(
-                    cpu,
-                    TraceEvent::Miss {
-                        kind: MissKind::Sci,
-                        line,
-                    },
-                );
-            }
-        }
-        if for_write {
-            for &h in &others {
-                m.caches[h as usize].invalidate(line);
-                m.snoop.remove(line, h);
-                m.stats.invalidations += 1;
-                cost += lat.inv_local;
-            }
-        } else {
-            for &h in &others {
-                if m.caches[h as usize].lookup(line) == LineState::Exclusive {
-                    m.caches[h as usize].set_state(line, LineState::Shared);
+        with_other_holders(m, line, cpu, |m, others| {
+            let mut cost;
+            if let Some(owner) = dirty_holder(m, line, others) {
+                // Dirty peer supplies cache-to-cache (and writes back).
+                cost = snoop_c2c(m, cpu, line);
+                if !for_write {
+                    m.caches[owner as usize].set_state(line, LineState::Shared);
                 }
+            } else {
+                cost = snoop_memory_fetch(m, cpu, line, home);
             }
+            if for_write {
+                cost += Self::invalidate(m, cpu, line, others);
+            } else {
+                demote_exclusive(m, line, others);
+            }
+            // A dead CPU's drained request is serviced but never
+            // refills the dead cache (as under DASH+SCI).
+            if m.is_cpu_dead(cpu) {
+                return cost;
+            }
+            let state = if for_write {
+                LineState::Modified
+            } else if others.is_empty() {
+                LineState::Exclusive
+            } else {
+                LineState::Shared
+            };
+            cost + snoop_fill(m, cpu, line, state)
+        })
+    }
+
+    /// Invalidate the copies of `line` held by `others`, leaving the
+    /// writer `cpu` the line's only listed holder (none when `cpu` is
+    /// dead: its drained write refills nothing); returns the
+    /// serialized cost.
+    fn invalidate(m: &mut Machine, cpu: CpuId, line: u64, others: &[u16]) -> Cycles {
+        if others.is_empty() {
+            return 0;
         }
-        // A dead CPU's drained request is serviced but never refills
-        // the dead cache (as under DASH+SCI).
+        for &h in others {
+            m.caches[h as usize].invalidate(line);
+        }
         if m.is_cpu_dead(cpu) {
-            return cost;
-        }
-        let state = if for_write {
-            LineState::Modified
-        } else if others.is_empty() {
-            LineState::Exclusive
+            m.snoop.retain(line, |_| false);
         } else {
-            LineState::Shared
-        };
-        if let Some(victim) = m.caches[cpu.0 as usize].fill(line, state) {
-            cost += snoop_evict(m, cpu, victim);
+            m.snoop.set_sole_holder(line, cpu.0);
         }
-        m.snoop.add(line, cpu.0);
-        cost
+        let n = others.len() as u64;
+        m.delta.invalidations += n;
+        n * m.cfg.latency.inv_local
     }
 }
 
 impl CoherenceProtocol for Mesi {
-    fn read_miss(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        Self::miss_fetch(m, cpu, addr, line, false)
+    fn read_miss(m: &mut Machine, cpu: CpuId, line: u64, home: (NodeId, FuId)) -> Cycles {
+        Self::miss_fetch(m, cpu, line, home, false)
     }
 
-    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, state: LineState) -> Cycles {
-        let lat = m.cfg.latency.clone();
+    fn write_access(
+        m: &mut Machine,
+        cpu: CpuId,
+        line: u64,
+        home: (NodeId, FuId),
+        state: LineState,
+    ) -> Cycles {
+        let hit = m.cfg.latency.cache_hit;
         match state {
             LineState::Exclusive => {
                 // The MESI payoff: sole clean copy upgrades silently.
-                m.stats.hits += 1;
+                m.delta.hits += 1;
                 m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
-                lat.cache_hit
+                hit
             }
             LineState::Shared => {
                 // Upgrade: data present (a hit), broadcast invalidates
                 // the other holders.
-                m.stats.hits += 1;
-                m.stats.snoops += 1;
+                m.delta.hits += 1;
+                m.delta.snoops += 1;
                 m.emit(cpu, TraceEvent::Snoop { line });
-                let mut cost = lat.cache_hit + lat.dir_op;
-                for h in m.snoop.others(line, cpu.0) {
-                    m.caches[h as usize].invalidate(line);
-                    m.snoop.remove(line, h);
-                    m.stats.invalidations += 1;
-                    cost += lat.inv_local;
-                }
-                m.stats.upgrades += 1;
+                let inv = with_other_holders(m, line, cpu, |m, others| {
+                    Self::invalidate(m, cpu, line, others)
+                });
+                m.delta.upgrades += 1;
                 m.emit(cpu, TraceEvent::Upgrade { line });
                 m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
-                cost
+                hit + m.cfg.latency.dir_op + inv
             }
             LineState::Invalid => {
-                let cost = Self::miss_fetch(m, cpu, addr, line, true);
-                m.stats.upgrades += 1;
+                let cost = Self::miss_fetch(m, cpu, line, home, true);
+                m.delta.upgrades += 1;
                 m.emit(cpu, TraceEvent::Upgrade { line });
                 cost
             }
@@ -513,8 +607,7 @@ impl Dragon {
     /// owner (if any) demotes to plain Shared — the writer owns the
     /// line after the update.
     fn update_others(m: &mut Machine, cpu: CpuId, line: u64, others: &[u16]) -> Cycles {
-        let lat = m.cfg.latency.clone();
-        m.stats.updates += 1;
+        m.delta.updates += 1;
         m.emit(
             cpu,
             TraceEvent::Update {
@@ -522,124 +615,95 @@ impl Dragon {
                 sharers: u8::try_from(others.len()).unwrap_or(u8::MAX),
             },
         );
-        let mut cost = lat.dir_op;
         for &h in others {
             let s = m.caches[h as usize].lookup(line);
             if s.is_dirty() || s == LineState::Exclusive {
                 m.caches[h as usize].set_state(line, LineState::Shared);
             }
-            cost += lat.inv_local;
         }
-        cost
+        let lat = &m.cfg.latency;
+        lat.dir_op + others.len() as u64 * lat.inv_local
     }
 
     /// Fetch a missing line: dirty peer supplies (an `M` supplier
     /// moves to `Sm`), otherwise memory at home-local or SCI cost.
-    fn fetch(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, others: &[u16]) -> Cycles {
-        let lat = m.cfg.latency.clone();
-        let dirty = others
-            .iter()
-            .copied()
-            .find(|&c| m.caches[c as usize].lookup(line).is_dirty());
-        let cost;
-        if let Some(owner) = dirty {
-            cost = lat.local_miss + lat.c2c_extra;
-            m.stats.c2c_transfers += 1;
-            m.emit(
-                cpu,
-                TraceEvent::Miss {
-                    kind: MissKind::C2c,
-                    line,
-                },
-            );
-            if m.caches[owner as usize].lookup(line) == LineState::Modified {
-                m.caches[owner as usize].set_state(line, LineState::OwnedShared);
-            }
-        } else {
-            let my_node = m.cfg.node_of_cpu(cpu);
-            let (hnode, _) = m.space.home_of(addr);
-            if hnode == my_node {
-                cost = lat.local_miss;
-                m.stats.local_misses += 1;
-                m.emit(
-                    cpu,
-                    TraceEvent::Miss {
-                        kind: MissKind::Local,
-                        line,
-                    },
-                );
-            } else {
-                let hops = m.cfg.ring_round_trip_hops(my_node, hnode);
-                cost = lat.local_miss + lat.sci_fetch(hops);
-                m.stats.sci_fetches += 1;
-                m.emit(
-                    cpu,
-                    TraceEvent::Miss {
-                        kind: MissKind::Sci,
-                        line,
-                    },
-                );
-            }
-            for &h in others {
-                if m.caches[h as usize].lookup(line) == LineState::Exclusive {
-                    m.caches[h as usize].set_state(line, LineState::Shared);
+    fn fetch(
+        m: &mut Machine,
+        cpu: CpuId,
+        line: u64,
+        home: (NodeId, FuId),
+        others: &[u16],
+    ) -> Cycles {
+        match dirty_holder(m, line, others) {
+            Some(owner) => {
+                let cost = snoop_c2c(m, cpu, line);
+                if m.caches[owner as usize].lookup(line) == LineState::Modified {
+                    m.caches[owner as usize].set_state(line, LineState::OwnedShared);
                 }
+                cost
+            }
+            None => {
+                let cost = snoop_memory_fetch(m, cpu, line, home);
+                demote_exclusive(m, line, others);
+                cost
             }
         }
-        cost
     }
 }
 
 impl CoherenceProtocol for Dragon {
-    fn read_miss(m: &mut Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
-        let others = m.snoop.others(line, cpu.0);
-        let mut cost = Self::fetch(m, cpu, addr, line, &others);
-        // A dead CPU's drained request never refills its cache.
-        if m.is_cpu_dead(cpu) {
-            return cost;
-        }
-        let state = if others.is_empty() {
-            LineState::Exclusive
-        } else {
-            LineState::Shared
-        };
-        if let Some(victim) = m.caches[cpu.0 as usize].fill(line, state) {
-            cost += snoop_evict(m, cpu, victim);
-        }
-        m.snoop.add(line, cpu.0);
-        cost
+    fn read_miss(m: &mut Machine, cpu: CpuId, line: u64, home: (NodeId, FuId)) -> Cycles {
+        with_other_holders(m, line, cpu, |m, others| {
+            let cost = Self::fetch(m, cpu, line, home, others);
+            // A dead CPU's drained request never refills its cache.
+            if m.is_cpu_dead(cpu) {
+                return cost;
+            }
+            let state = if others.is_empty() {
+                LineState::Exclusive
+            } else {
+                LineState::Shared
+            };
+            cost + snoop_fill(m, cpu, line, state)
+        })
     }
 
-    fn write_access(m: &mut Machine, cpu: CpuId, addr: u64, line: u64, state: LineState) -> Cycles {
-        let lat = m.cfg.latency.clone();
+    fn write_access(
+        m: &mut Machine,
+        cpu: CpuId,
+        line: u64,
+        home: (NodeId, FuId),
+        state: LineState,
+    ) -> Cycles {
+        let hit = m.cfg.latency.cache_hit;
         match state {
             LineState::Exclusive => {
-                m.stats.hits += 1;
+                m.delta.hits += 1;
                 m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
-                lat.cache_hit
+                hit
             }
             LineState::Shared | LineState::OwnedShared => {
                 // The Dragon signature: a write to a shared line is a
                 // hit that broadcasts the new data instead of
                 // invalidating; the writer becomes the owner (`Sm`).
-                m.stats.hits += 1;
-                let others = m.snoop.others(line, cpu.0);
-                if others.is_empty() {
-                    m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
-                    lat.cache_hit
-                } else {
-                    let cost = lat.cache_hit + Self::update_others(m, cpu, line, &others);
-                    m.caches[cpu.0 as usize].set_state(line, LineState::OwnedShared);
-                    cost
-                }
+                m.delta.hits += 1;
+                with_other_holders(m, line, cpu, |m, others| {
+                    if others.is_empty() {
+                        m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
+                        hit
+                    } else {
+                        let cost = hit + Self::update_others(m, cpu, line, others);
+                        m.caches[cpu.0 as usize].set_state(line, LineState::OwnedShared);
+                        cost
+                    }
+                })
             }
-            LineState::Invalid => {
-                let others = m.snoop.others(line, cpu.0);
-                let mut cost = Self::fetch(m, cpu, addr, line, &others);
+            LineState::Invalid => with_other_holders(m, line, cpu, |m, others| {
+                let mut cost = Self::fetch(m, cpu, line, home, others);
                 // The bus write reaches surviving holders even when
                 // the issuing CPU is dead (drained write-through).
                 if !others.is_empty() {
-                    cost += Self::update_others(m, cpu, line, &others);
+                    cost += Self::update_others(m, cpu, line, others);
                 }
                 if m.is_cpu_dead(cpu) {
                     return cost;
@@ -649,12 +713,8 @@ impl CoherenceProtocol for Dragon {
                 } else {
                     LineState::OwnedShared
                 };
-                if let Some(victim) = m.caches[cpu.0 as usize].fill(line, state) {
-                    cost += snoop_evict(m, cpu, victim);
-                }
-                m.snoop.add(line, cpu.0);
-                cost
-            }
+                cost + snoop_fill(m, cpu, line, state)
+            }),
             // Modified is the machine's hit.
             LineState::Modified => unreachable!("Dragon write to a Modified line"),
         }
@@ -688,8 +748,10 @@ mod tests {
         f.add(10, 7);
         f.add(10, 3); // idempotent
         assert_eq!(f.holders(10), &[3, 7]);
-        assert_eq!(f.others(10, 3), vec![7]);
         assert_eq!(f.live_lines(), 1);
+        f.set_sole_holder(10, 7);
+        assert_eq!(f.holders(10), &[7]);
+        f.add(10, 3);
         f.remove(10, 3);
         f.remove(10, 7);
         assert_eq!(f.live_lines(), 0);

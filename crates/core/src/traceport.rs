@@ -29,7 +29,9 @@ use crate::latency::Cycles;
 use crate::machine::Machine;
 use crate::mem::{MemClass, Region};
 use crate::port::MemPort;
+use crate::race::RaceEvent;
 use crate::stats::MemStats;
+use crate::trace::TraceRecord;
 
 const OP_READ: u8 = 0;
 const OP_WRITE: u8 = 1;
@@ -324,6 +326,10 @@ impl MemPort for TracePort {
         c
     }
 
+    fn is_cpu_dead(&self, cpu: CpuId) -> bool {
+        self.inner.is_cpu_dead(cpu)
+    }
+
     fn fault_plan(&self) -> Option<&FaultPlan> {
         self.inner.fault_plan()
     }
@@ -332,9 +338,26 @@ impl MemPort for TracePort {
         self.inner.faults_mut()
     }
 
-    // Labels are observability-only: pass them through to the inner
-    // machine's registry, but keep them out of the recorded op stream
-    // (replay reproduces cycles and stats, not report strings).
+    // Trace records, race events and labels are observability-only:
+    // pass them through to the inner machine's sinks and registry, but
+    // keep them out of the recorded op stream (replay reproduces
+    // cycles and stats, not reports).
+    fn tracing(&self) -> bool {
+        MemPort::tracing(&self.inner)
+    }
+
+    fn trace(&mut self, rec: TraceRecord) {
+        MemPort::trace(&mut self.inner, rec)
+    }
+
+    fn racing(&self) -> bool {
+        MemPort::racing(&self.inner)
+    }
+
+    fn race(&mut self, ev: RaceEvent) {
+        MemPort::race(&mut self.inner, ev)
+    }
+
     fn label_region(&mut self, base: u64, label: &str) {
         self.inner.label_region(base, label)
     }
@@ -391,6 +414,51 @@ mod tests {
         let replayed = trace.replay(&mut fresh);
         assert_eq!(replayed, total);
         assert_eq!(fresh.stats, machine.stats);
+    }
+
+    #[test]
+    fn hard_faults_and_observer_events_reach_the_inner_machine() {
+        use crate::trace::{TraceEvent, NO_CPU, NO_NODE};
+        let plan = FaultPlan::new(1).with_cpu_failure(3, 1_000);
+        let mut p = TracePort::new(
+            Machine::spp1000(2)
+                .with_faults(plan)
+                .with_tracing()
+                .with_race_detection(),
+        );
+        let r = p.alloc(MemClass::FarShared, 1 << 14);
+        assert!(!MemPort::is_cpu_dead(&p, CpuId(3)));
+        for i in 0..64u64 {
+            p.read(CpuId((i % 16) as u16), r.addr(i * 32));
+        }
+        assert!(p.inner().is_cpu_dead(CpuId(3)), "the failure must fire");
+        assert!(MemPort::is_cpu_dead(&p, CpuId(3)));
+        assert!(!MemPort::is_cpu_dead(&p, CpuId(4)));
+
+        assert!(MemPort::tracing(&p) && MemPort::racing(&p));
+        let records = p.trace().records();
+        MemPort::trace(
+            &mut p,
+            TraceRecord {
+                at: 7,
+                cpu: NO_CPU,
+                node: NO_NODE,
+                event: TraceEvent::BarrierRelease,
+            },
+        );
+        MemPort::race(&mut p, RaceEvent::RegionBegin);
+        MemPort::race(&mut p, RaceEvent::RegionEnd);
+        assert!(p
+            .inner()
+            .trace_events()
+            .iter()
+            .any(|r| r.at == 7 && matches!(r.event, TraceEvent::BarrierRelease)));
+        assert_eq!(p.inner().race_report().regions, 1);
+        assert_eq!(
+            p.trace().records(),
+            records,
+            "observability is not recorded"
+        );
     }
 
     #[test]

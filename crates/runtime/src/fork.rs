@@ -1914,6 +1914,32 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_port_passes_runtime_events_to_the_inner_sinks() {
+        use spp_core::{Machine, TraceEvent, TracePort};
+        let m = Machine::spp1000(1).with_tracing().with_race_detection();
+        let mut rt = Runtime::new(TracePort::new(m));
+        let mut shared = SimArray::<f64>::from_elem(
+            &mut rt.machine,
+            MemClass::NearShared { node: NodeId(0) },
+            1,
+            0.0,
+        );
+        shared.set_label(&mut rt.machine, "acc");
+        rt.fork_join(4, &Placement::HighLocality, |ctx| {
+            ctx.update(&mut shared, 0, |v| v + 1.0);
+        });
+        let inner = rt.machine.inner();
+        assert!(inner
+            .trace_events()
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::ForkSpan { threads: 4, .. })));
+        let report = inner.race_report();
+        assert_eq!(report.regions, 1, "{report}");
+        assert!(report.total_races > 0, "{report}");
+        assert!(report.races[0].to_string().contains("acc[0]"), "{report}");
+    }
+
+    #[test]
     fn gated_updates_do_not_race() {
         use spp_core::Machine;
         let mut rt = Runtime::new(Machine::spp1000(1).with_race_detection());
