@@ -65,6 +65,11 @@ pub struct Machine {
     /// Reusable buffer for a snooping broadcast's other holders, so a
     /// MESI or Dragon miss allocates nothing once it has grown.
     pub(crate) scratch: Vec<u16>,
+    /// Each CPU's `(hypernode, index in node)`, built once so the miss
+    /// path looks placement up instead of dividing by the node size.
+    cpu_place: Vec<(NodeId, u8)>,
+    /// Each FU's ring (its index within its hypernode), likewise.
+    fu_ring: Vec<RingId>,
     pub(crate) line_shift: u32,
     /// The opt-in per-access observers (checker, race detector,
     /// heatmap); `None` means all are off and every access pays one
@@ -206,10 +211,20 @@ impl Machine {
         let caches = (0..cpus)
             .map(|_| Cache::for_machine(cpus, cfg.cache_lines()))
             .collect();
-        let dirs = (0..cfg.hypernodes).map(|_| Directory::new()).collect();
+        let dirs = (0..cfg.hypernodes)
+            .map(|_| Directory::for_machine(cpus))
+            .collect();
         let gcbs = (0..cfg.hypernodes * cfg.fus_per_node)
             .map(|_| Cache::for_machine(cpus, cfg.gcb_lines().next_power_of_two()))
             .collect();
+        // CPUs and FUs are numbered node-major, so the tables are
+        // filled in order, each in one allocation.
+        let mut cpu_place = Vec::with_capacity(cpus);
+        let mut fu_ring = Vec::with_capacity(cfg.num_fus());
+        for n in 0..cfg.hypernodes as u8 {
+            cpu_place.extend((0..cfg.cpus_per_node() as u8).map(|i| (NodeId(n), i)));
+            fu_ring.extend((0..cfg.fus_per_node as u8).map(RingId));
+        }
         let mut m = Machine {
             space: AddressSpace::new(&cfg),
             caches,
@@ -222,6 +237,8 @@ impl Machine {
             cpu_stats: vec![MemStats::default(); cfg.num_cpus()],
             delta: MemStats::default(),
             scratch: Vec::new(),
+            cpu_place,
+            fu_ring,
             line_shift,
             dead_cpus: vec![0u64; cfg.num_cpus().div_ceil(64)],
             cfg,
@@ -268,11 +285,14 @@ impl Machine {
 
     /// Total live coherence-tracking entries: per-hypernode DASH
     /// directory lines, SCI distributed-list lines, and snoop-filter
-    /// lines. Every one of these structures is a sparse map, so this
-    /// count — and the memory behind it — is proportional to the
-    /// lines actually touched, not to the address space or the
-    /// topology (the property that lets a 128-hypernode, 1024-CPU
-    /// machine run small workloads in small host memory).
+    /// lines. On machines with more than
+    /// [`crate::cache::DENSE_MAX_CPUS`] CPUs every one of these
+    /// structures is a sparse map, so this count — and the memory
+    /// behind it — is proportional to the lines actually touched, not
+    /// to the address space or the topology (the property that lets a
+    /// 128-hypernode, 1024-CPU machine run small workloads in small
+    /// host memory); smaller machines hold their directories in dense
+    /// pages (see [`crate::directory`]).
     pub fn coherence_footprint(&self) -> usize {
         self.dirs.iter().map(Directory::live_lines).sum::<usize>()
             + self.sci.live_lines()
@@ -517,9 +537,24 @@ impl Machine {
         for g in &mut self.gcbs {
             g.flush();
         }
-        self.dirs = (0..self.cfg.hypernodes).map(|_| Directory::new()).collect();
+        let cpus = self.cfg.num_cpus();
+        self.dirs = (0..self.cfg.hypernodes)
+            .map(|_| Directory::for_machine(cpus))
+            .collect();
         self.sci = SciDirectory::new();
         self.snoop.clear();
+    }
+
+    /// `cpu`'s `(hypernode, index in node)`.
+    #[inline]
+    pub(crate) fn place(&self, cpu: CpuId) -> (NodeId, u8) {
+        self.cpu_place[cpu.0 as usize]
+    }
+
+    /// The ring `fu` sits on.
+    #[inline]
+    pub(crate) fn ring_of(&self, fu: FuId) -> RingId {
+        self.fu_ring[fu.0 as usize]
     }
 
     #[inline]
@@ -671,7 +706,7 @@ impl Machine {
             }
             if self.failed_rings != 0 {
                 let (_, hfu) = home.unwrap_or_else(|| self.space.home_of(addr));
-                cost += self.reroute_penalty(self.cfg.ring_of_fu(hfu));
+                cost += self.reroute_penalty(self.ring_of(hfu));
             }
         }
         self.clock += cost;
@@ -1341,13 +1376,13 @@ impl Machine {
         let (hnode, hfu) = self.space.home_of(addr);
         let local = self.cfg.latency.uncached_local;
         let extra = self.cfg.latency.uncached_remote_extra;
-        let cost = if hnode == self.cfg.node_of_cpu(cpu) {
+        let cost = if hnode == self.place(cpu).0 {
             local
         } else {
             // Remote semaphore traffic crosses the ring and is subject
             // to the same injected stalls and hard link failures as
             // coherence traffic.
-            local + extra + self.ring_stall_draw() + self.reroute_penalty(self.cfg.ring_of_fu(hfu))
+            local + extra + self.ring_stall_draw() + self.reroute_penalty(self.ring_of(hfu))
         };
         self.clock += cost;
         let delta = self.take_delta(cpu);
@@ -1480,8 +1515,7 @@ impl Machine {
     /// `home` is the line's home (node, FU).
     pub(crate) fn read_miss(&mut self, cpu: CpuId, line: u64, home: (NodeId, FuId)) -> Cycles {
         let (hnode, hfu) = home;
-        let my_node = self.cfg.node_of_cpu(cpu);
-        let in_node = self.cfg.cpu_index_in_node(cpu) as u8;
+        let (my_node, in_node) = self.place(cpu);
         let lat = &self.cfg.latency;
         let (local_miss, c2c_extra) = (lat.local_miss, lat.c2c_extra);
         let mut cost;
@@ -1533,8 +1567,7 @@ impl Machine {
         } else {
             // Remote line: go through the global cache buffer on the
             // gateway FU for the home's ring.
-            let ring = self.cfg.ring_of_fu(hfu);
-            let g = self.gcb_index(my_node, ring);
+            let g = self.gcb_index(my_node, self.ring_of(hfu));
             match self.gcbs[g].lookup(line) {
                 // Shared | Modified (GCBs never hold the MESI/Dragon
                 // states): GCB hit, serviced within the hypernode
@@ -1621,8 +1654,7 @@ impl Machine {
         home: (NodeId, FuId),
     ) -> Cycles {
         let (hnode, hfu) = home;
-        let my_node = self.cfg.node_of_cpu(cpu);
-        let in_node = self.cfg.cpu_index_in_node(cpu) as u8;
+        let (my_node, in_node) = self.place(cpu);
         let remote = hnode != my_node;
 
         // 1. Local sharers, serialized at the node directory.
@@ -1704,8 +1736,7 @@ impl Machine {
     /// entry and any CPU caches holding it; returns the cost of the
     /// CPU invalidations.
     fn invalidate_node_copy(&mut self, n: NodeId, hfu: FuId, line: u64) -> Cycles {
-        let ring = self.cfg.ring_of_fu(hfu);
-        let g = self.gcb_index(n, ring);
+        let g = self.gcb_index(n, self.ring_of(hfu));
         self.gcbs[g].invalidate(line);
         match self.dirs[n.0 as usize].take(line) {
             Some(e) => self.invalidate_cpu_copies(n, line, e.sharers),
@@ -1720,8 +1751,7 @@ impl Machine {
             let cpu = d.0 as usize * self.cfg.cpus_per_node() + owner as usize;
             self.caches[cpu].set_state(line, LineState::Shared);
         }
-        let ring = self.cfg.ring_of_fu(hfu);
-        let g = self.gcb_index(d, ring);
+        let g = self.gcb_index(d, self.ring_of(hfu));
         if self.gcbs[g].lookup(line) == LineState::Modified {
             self.gcbs[g].set_state(line, LineState::Shared);
             self.delta.writebacks += 1;
@@ -1731,12 +1761,11 @@ impl Machine {
     /// If `cpu` just took ownership of a line homed remotely, record
     /// the dirty copy in its node's GCB and the SCI tree.
     pub(crate) fn mark_dirty_if_remote(&mut self, cpu: CpuId, line: u64, home: (NodeId, FuId)) {
-        let my_node = self.cfg.node_of_cpu(cpu);
+        let my_node = self.place(cpu).0;
         let (hnode, hfu) = home;
         if hnode != my_node {
             self.sci.set_dirty(line, my_node.0);
-            let ring = self.cfg.ring_of_fu(hfu);
-            let g = self.gcb_index(my_node, ring);
+            let g = self.gcb_index(my_node, self.ring_of(hfu));
             // Inclusion: a CPU caching a remote line implies a GCB copy.
             if self.gcbs[g].lookup(line) == LineState::Invalid {
                 if let Some(victim) = self.gcbs[g].fill(line, LineState::Modified) {
@@ -1757,7 +1786,7 @@ impl Machine {
     /// A CPU cache eviction: update the node directory; write dirty
     /// data back toward home.
     fn cpu_evict(&mut self, cpu: CpuId, my_node: NodeId, victim: Evicted) -> Cycles {
-        let in_node = self.cfg.cpu_index_in_node(cpu) as u8;
+        let in_node = self.place(cpu).1;
         self.delta.evictions += 1;
         self.dirs[my_node.0 as usize].remove_sharer(victim.line, in_node);
         if victim.state == LineState::Modified {
@@ -1846,6 +1875,25 @@ mod tests {
 
     fn m2() -> Machine {
         Machine::spp1000(2)
+    }
+
+    #[test]
+    fn placement_tables_agree_with_the_config() {
+        let odd = MachineConfig {
+            fus_per_node: 3,
+            cpus_per_fu: 2,
+            ..MachineConfig::spp1000(5)
+        };
+        for cfg in [MachineConfig::spp1000(2), MachineConfig::spp1000(128), odd] {
+            let m = Machine::new(cfg.clone());
+            for c in cfg.cpus() {
+                let want = (cfg.node_of_cpu(c), cfg.cpu_index_in_node(c) as u8);
+                assert_eq!(m.place(c), want, "{c:?}");
+            }
+            for f in (0..cfg.num_fus() as u16).map(FuId) {
+                assert_eq!(m.ring_of(f), cfg.ring_of_fu(f), "{f:?}");
+            }
+        }
     }
 
     #[test]

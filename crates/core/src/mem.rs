@@ -65,11 +65,26 @@ impl Region {
     }
 }
 
+/// Pages the home table covers: 2^20 pages, 4 GB of address space at
+/// the SPP-1000's 4 KB pages, in at most 4 MB of table. Pages above it
+/// (only a far larger address space reaches them) are resolved from
+/// the region list instead.
+const HOME_TABLE_PAGES: u64 = 1 << 20;
+
+/// A home-table entry for a page no region maps (page 0, guard pages).
+const NO_HOME: u32 = u32::MAX;
+
 /// The region table: allocates address space and answers "who is home
 /// for this address".
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     regions: Vec<Region>,
+    /// Home of every page below the allocation cursor (up to
+    /// [`HOME_TABLE_PAGES`]), indexed by page number and packed as
+    /// `node << 16 | fu`; [`NO_HOME`] for unmapped pages. Filled by
+    /// [`AddressSpace::try_alloc`], so a home lookup is one indexed
+    /// load.
+    homes: Vec<u32>,
     /// Observability-only labels, parallel to `regions`. Names never
     /// influence placement, snapshots, or digests, and are lost on
     /// snapshot restore (replay goes through `try_alloc`).
@@ -95,6 +110,8 @@ impl AddressSpace {
         );
         AddressSpace {
             regions: Vec::new(),
+            // Page 0 stays unmapped.
+            homes: vec![NO_HOME],
             names: Vec::new(),
             // Start above 0 so address 0 stays invalid, and keep
             // allocations page-aligned.
@@ -136,6 +153,17 @@ impl AddressSpace {
         // padding every performance-aware allocator/code applies.
         self.cursor += padded + self.page;
         let r = Region { base, len, class };
+        // Tabulate the region's pages (up to the table's reach) and
+        // its guard page.
+        let first = base >> self.page_shift;
+        let guard = (self.cursor >> self.page_shift) - 1;
+        for page in first..guard.min(HOME_TABLE_PAGES) {
+            let (node, fu) = self.home_in(&r, page << self.page_shift);
+            self.homes.push(u32::from(node.0) << 16 | u32::from(fu.0));
+        }
+        if guard < HOME_TABLE_PAGES {
+            self.homes.push(NO_HOME);
+        }
         self.regions.push(r);
         self.names.push(None);
         Ok(r)
@@ -202,12 +230,23 @@ impl AddressSpace {
     }
 
     /// Fallible variant of [`AddressSpace::home_of`].
+    #[inline]
     pub fn try_home_of(&self, addr: u64) -> Result<(NodeId, FuId), SimError> {
-        let r = self
-            .region_of(addr)
-            .ok_or(SimError::UnmappedAddress { addr })?;
+        match self.homes.get((addr >> self.page_shift) as usize) {
+            Some(&NO_HOME) => Err(SimError::UnmappedAddress { addr }),
+            Some(&h) => Ok((NodeId((h >> 16) as u8), FuId(h as u16))),
+            None => self
+                .region_of(addr)
+                .map(|r| self.home_in(r, addr))
+                .ok_or(SimError::UnmappedAddress { addr }),
+        }
+    }
+
+    /// The home of `addr` within its region `r`, by the region's
+    /// placement rule.
+    fn home_in(&self, r: &Region, addr: u64) -> (NodeId, FuId) {
         let page_in_region = (addr - r.base) >> self.page_shift;
-        Ok(match r.class {
+        match r.class {
             MemClass::ThreadPrivate { home } => {
                 (NodeId((home.0 as usize / self.fus_per_node) as u8), home)
             }
@@ -224,7 +263,7 @@ impl AddressSpace {
                 let block = (addr - r.base) / block_bytes as u64;
                 self.round_robin(block)
             }
-        })
+        }
     }
 
     /// Round-robin a distribution unit across hypernodes, interleaving
@@ -452,5 +491,74 @@ mod tests {
             s.try_home_of(0x10_0000_0000),
             Err(SimError::UnmappedAddress { .. })
         ));
+    }
+
+    /// The home by the region rule alone, bypassing the table.
+    fn by_region(s: &AddressSpace, addr: u64) -> Option<(NodeId, FuId)> {
+        s.region_of(addr).map(|r| s.home_in(r, addr))
+    }
+
+    #[test]
+    fn the_home_table_agrees_with_the_region_rules_page_for_page() {
+        let mut s = AddressSpace::new(&MachineConfig::spp1000(4));
+        for (class, len) in [
+            (MemClass::FarShared, 13 * 4096 + 5),
+            (MemClass::ThreadPrivate { home: FuId(9) }, 100),
+            (MemClass::NodePrivate { node: NodeId(3) }, 7 * 4096),
+            (MemClass::NearShared { node: NodeId(2) }, 9 * 4096 - 1),
+            (
+                MemClass::BlockShared {
+                    block_bytes: 3 * 4096,
+                },
+                20 * 4096,
+            ),
+        ] {
+            s.alloc(class, len);
+        }
+        let end = s.allocated_bytes() + 2 * 4096;
+        for addr in (0..end + 4 * 4096).step_by(1024) {
+            let want = by_region(&s, addr);
+            assert_eq!(s.try_home_of(addr).ok(), want, "addr {addr:#x}");
+        }
+        assert!(matches!(
+            s.try_home_of(0),
+            Err(SimError::UnmappedAddress { addr: 0 })
+        ));
+    }
+
+    #[test]
+    fn pages_beyond_the_home_table_resolve_from_the_regions() {
+        let mut s = space();
+        let a = s.alloc(MemClass::FarShared, 4096);
+        // A region straddling the table's reach, and one wholly above.
+        let big = s.alloc(MemClass::FarShared, HOME_TABLE_PAGES * 4096);
+        let above = s.alloc(MemClass::NearShared { node: NodeId(1) }, 3 * 4096);
+        assert_eq!(
+            s.homes.len() as u64,
+            HOME_TABLE_PAGES,
+            "the table stops at its reach"
+        );
+        let reach = HOME_TABLE_PAGES * 4096;
+        for addr in [
+            a.base,
+            big.base,
+            reach - 4096,
+            reach - 1,
+            reach,
+            big.base + big.len - 1,
+            big.base + big.len, // guard page
+            above.base,
+            above.base + 2 * 4096,
+            above.base + 3 * 4096, // guard page
+        ] {
+            assert_eq!(
+                s.try_home_of(addr).ok(),
+                by_region(&s, addr),
+                "addr {addr:#x}"
+            );
+        }
+        assert!(s.try_home_of(big.base + big.len).is_err());
+        assert!(s.try_home_of(above.base + 3 * 4096).is_err());
+        assert_eq!(s.home_of(above.base).0, NodeId(1));
     }
 }

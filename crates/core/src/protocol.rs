@@ -244,8 +244,7 @@ impl DashSci {
     /// directory records it as owner, and a remote-homed line is
     /// marked dirty in the GCB and the SCI tree.
     fn own(m: &mut Machine, cpu: CpuId, line: u64, home: (NodeId, FuId)) {
-        let my_node = m.cfg.node_of_cpu(cpu);
-        let in_node = m.cfg.cpu_index_in_node(cpu) as u8;
+        let (my_node, in_node) = m.place(cpu);
         m.caches[cpu.0 as usize].set_state(line, LineState::Modified);
         m.dirs[my_node.0 as usize].set_owner(line, in_node);
         m.mark_dirty_if_remote(cpu, line, home);
@@ -297,8 +296,7 @@ impl CoherenceProtocol for DashSci {
 
     fn peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles {
         let lat = &m.cfg.latency;
-        let my_node = m.cfg.node_of_cpu(cpu);
-        let in_node = m.cfg.cpu_index_in_node(cpu) as u8;
+        let (my_node, in_node) = m.place(cpu);
         let (hnode, hfu) = m.space.home_of(addr);
         let mut cost;
 
@@ -317,8 +315,7 @@ impl CoherenceProtocol for DashSci {
                 cost = lat.local_miss;
             }
         } else {
-            let ring = m.cfg.ring_of_fu(hfu);
-            let g = m.gcb_index(my_node, ring);
+            let g = m.gcb_index(my_node, m.ring_of(hfu));
             match m.gcbs[g].lookup(line) {
                 LineState::Invalid => {
                     let hops = m.cfg.ring_round_trip_hops(my_node, hnode);
@@ -387,7 +384,7 @@ fn snoop_fill(m: &mut Machine, cpu: CpuId, line: u64, state: LineState) -> Cycle
 /// node is the line's home, otherwise over the SCI distance to it.
 /// Counts and traces the miss.
 fn snoop_memory_fetch(m: &mut Machine, cpu: CpuId, line: u64, home: (NodeId, FuId)) -> Cycles {
-    let my_node = m.cfg.node_of_cpu(cpu);
+    let my_node = m.place(cpu).0;
     let (hnode, _) = home;
     if hnode == my_node {
         m.delta.local_misses += 1;
@@ -459,7 +456,7 @@ fn snoop_peek_read_miss(m: &Machine, cpu: CpuId, addr: u64, line: u64) -> Cycles
     let mut cost = if dirty {
         lat.local_miss + lat.c2c_extra
     } else {
-        let my_node = m.cfg.node_of_cpu(cpu);
+        let my_node = m.place(cpu).0;
         let (hnode, _) = m.space.home_of(addr);
         if hnode == my_node {
             lat.local_miss

@@ -339,7 +339,10 @@ impl Snapshot {
             write_cache(&mut v, g);
         }
 
-        // Node directories.
+        // Node directories. Machines with dense directories (at most
+        // `DENSE_MAX_CPUS` CPUs) list their lines in ascending order,
+        // sparse ones in map order; restore does not depend on the
+        // order, and neither the format nor `coherence_digest` changes.
         w32(&mut v, m.dirs.len() as u32);
         for d in &m.dirs {
             let lines: Vec<u64> = d.lines().collect();
@@ -560,6 +563,17 @@ impl Snapshot {
                 let line = r.u64()?;
                 let sharers = r.u8()?;
                 let owner = r.u8()?;
+                // A directory only tracks lines of mapped memory (and a
+                // dense one indexes its pages by line), so anything
+                // else is stream corruption.
+                let mapped = line
+                    .checked_mul(m.cfg.line_bytes as u64)
+                    .is_some_and(|a| m.space.try_home_of(a).is_ok());
+                if !mapped {
+                    return Err(corrupt(format!(
+                        "directory line {line:#x} is not in mapped memory"
+                    )));
+                }
                 // The sharer mask is 8 bits wide, so a valid owner is
                 // 0..8; anything else is stream corruption (and would
                 // overflow the `1 << owner` shift inside `set_owner`).
@@ -714,6 +728,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::config::{CpuId, NodeId};
+    use crate::directory::Directory;
     use crate::latency::Cycles;
 
     /// A mixed cross-node access stream; `range` selects the slice of
@@ -1092,6 +1107,50 @@ mod tests {
         assert_eq!(caps(&back), caps(&m));
         assert_eq!(back.gcbs[0].capacity() * 2, back.gcbs[fus].capacity());
         assert_eq!(back.snapshot().into_bytes(), m.snapshot().into_bytes());
+    }
+
+    #[test]
+    fn dense_directories_round_trip_byte_identically() {
+        let mut m = Machine::spp1000(2);
+        drive(&mut m, 0..900);
+        assert!(m.dirs.iter().all(Directory::is_dense));
+        let live: Vec<usize> = m.dirs.iter().map(Directory::live_lines).collect();
+        assert!(live.iter().all(|&n| n > 0), "both directories hold lines");
+        let first = m.snapshot();
+        let back = first
+            .restore(MachineConfig::spp1000(2), None)
+            .expect("restore");
+        assert!(back.dirs.iter().all(Directory::is_dense));
+        assert_eq!(
+            back.dirs
+                .iter()
+                .map(Directory::live_lines)
+                .collect::<Vec<_>>(),
+            live
+        );
+        for d in &back.dirs {
+            let lines: Vec<u64> = d.lines().collect();
+            assert!(lines.windows(2).all(|w| w[0] < w[1]), "ascending lines");
+        }
+        assert_eq!(back.coherence_digest(), m.coherence_digest());
+        assert_eq!(back.snapshot().into_bytes(), first.into_bytes());
+    }
+
+    #[test]
+    fn a_directory_line_outside_mapped_memory_is_corrupt() {
+        let mut m = Machine::spp1000(2);
+        drive(&mut m, 0..50);
+        // The first line past the allocated address space.
+        let beyond = (m.space.allocated_bytes() + 2 * 4096) >> m.line_shift;
+        m.dirs[0].add_sharer(beyond, 1);
+        let err = m
+            .snapshot()
+            .restore(MachineConfig::spp1000(2), None)
+            .expect_err("an unmapped directory line must not restore");
+        assert!(
+            matches!(&err, SimError::SnapshotCorrupt { detail } if detail.contains("not in mapped memory")),
+            "{err}"
+        );
     }
 
     #[test]

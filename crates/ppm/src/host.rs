@@ -3,7 +3,7 @@
 //! pricing. The physics oracle for the tiled simulated version.
 
 use crate::euler::{Cons, Prim};
-use crate::ppm1d::sweep_strip;
+use crate::ppm1d::{sweep_strip, SweepWork};
 use crate::problem::PpmProblem;
 
 /// Ghost width used when assembling periodic strips.
@@ -72,6 +72,7 @@ impl Grid {
     pub fn step(&mut self, cfl: f64) -> f64 {
         let dt = self.dt;
         let mut max_speed = 0.0f64;
+        let mut work = SweepWork::default();
 
         // X sweeps.
         let nx = self.nx;
@@ -81,7 +82,7 @@ impl Grid {
                 let x = (i + nx - NG) % nx;
                 *s = self.cells[x + nx * y];
             }
-            let (ms, _) = sweep_strip(&mut strip, NG..NG + nx, dt);
+            let (ms, _) = sweep_strip(&mut strip, NG..NG + nx, dt, &mut work);
             max_speed = max_speed.max(ms);
             for x in 0..nx {
                 self.cells[x + nx * y] = strip[NG + x];
@@ -96,7 +97,7 @@ impl Grid {
                 let y = (i + ny - NG) % ny;
                 *s = swap_uv(self.cells[x + nx * y]);
             }
-            let (ms, _) = sweep_strip(&mut strip, NG..NG + ny, dt);
+            let (ms, _) = sweep_strip(&mut strip, NG..NG + ny, dt, &mut work);
             max_speed = max_speed.max(ms);
             for y in 0..ny {
                 self.cells[x + nx * y] = swap_uv(strip[NG + y]);

@@ -4,7 +4,7 @@
 //! update. Directional splitting applies this routine along rows and
 //! columns.
 
-use crate::euler::{flux, riemann, Cons, Prim, SMALL};
+use crate::euler::{flux, riemann_lanes, Cons, Prim, PrimLanes, LANES, SMALL};
 
 /// Stencil half-width: updating zone `j` touches zones `j-3 ..= j+3`.
 pub const STENCIL: usize = 3;
@@ -80,11 +80,32 @@ fn avg_left(al: f64, ar: f64, a6: f64, x: f64) -> f64 {
     al + 0.5 * x * ((ar - al) + (1.0 - 2.0 * x / 3.0) * a6)
 }
 
+/// Scratch arrays of [`sweep_strip`]. The caller keeps one across
+/// strips, so once they have grown to the longest strip a sweep
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SweepWork {
+    /// Primitive state of every zone the stencil touches.
+    prim: Vec<Prim>,
+    /// Sound speed of every zone that has a parabola.
+    sound: Vec<f64>,
+    /// `(al, ar, a6)` per variable [rho, u, v, p] per zone.
+    coef: Vec<[(f64, f64, f64); 4]>,
+    /// Interface fluxes.
+    fluxes: Vec<Cons>,
+}
+
 /// Sweep one strip. `strip` holds conserved states including ghosts;
 /// zones in `upd` are updated in place (each needs `STENCIL` valid
-/// zones on both sides). Returns the maximum signal speed seen and the
-/// cost tally.
-pub fn sweep_strip(strip: &mut [Cons], upd: std::ops::Range<usize>, dtdx: f64) -> (f64, SweepCost) {
+/// zones on both sides). `work` is scratch space the caller reuses
+/// across strips. Returns the maximum signal speed seen and the cost
+/// tally.
+pub fn sweep_strip(
+    strip: &mut [Cons],
+    upd: std::ops::Range<usize>,
+    dtdx: f64,
+    work: &mut SweepWork,
+) -> (f64, SweepCost) {
     let n = strip.len();
     assert!(
         upd.start >= STENCIL && upd.end + STENCIL <= n,
@@ -94,77 +115,89 @@ pub fn sweep_strip(strip: &mut [Cons], upd: std::ops::Range<usize>, dtdx: f64) -
         return (0.0, SweepCost::default());
     }
     let mut cost = SweepCost::default();
+    let SweepWork {
+        prim,
+        sound,
+        coef,
+        fluxes,
+    } = work;
 
     // Primitives over the zones the stencil touches.
     let lo = upd.start - STENCIL;
     let hi = upd.end + STENCIL;
-    let prim: Vec<Prim> = strip[lo..hi].iter().map(|c| c.to_prim()).collect();
-    let at = |j: usize| prim[j - lo];
+    prim.clear();
+    prim.extend(strip[lo..hi].iter().map(Cons::to_prim));
     cost.flops += (hi - lo) as u64 * 12;
     cost.divsqrt += (hi - lo) as u64 * 2;
 
-    // Parabolas for zones needing them: upd.start-1 ..= upd.end.
+    // Parabolas and sound speeds for zones upd.start-1 ..= upd.end.
     let plo = upd.start - 1;
     let phi = upd.end + 1;
-    // (al, ar, a6) per variable [rho, u, v, p] per zone.
-    let mut coef = vec![[(0.0f64, 0.0f64, 0.0f64); 4]; phi - plo];
-    for j in plo..phi {
-        let g = |f: fn(&Prim) -> f64, j: usize| f(&at(j));
-        let fields: [fn(&Prim) -> f64; 4] = [|s| s.rho, |s| s.u, |s| s.v, |s| s.p];
-        for (v, f) in fields.iter().enumerate() {
-            coef[j - plo][v] = parabola(
-                g(*f, j - 2),
-                g(*f, j - 1),
-                g(*f, j),
-                g(*f, j + 1),
-                g(*f, j + 2),
-            );
-        }
+    coef.clear();
+    sound.clear();
+    for z in prim[plo - 2 - lo..phi + 2 - lo].windows(5) {
+        let para = |f: fn(&Prim) -> f64| parabola(f(&z[0]), f(&z[1]), f(&z[2]), f(&z[3]), f(&z[4]));
+        coef.push([para(|s| s.rho), para(|s| s.u), para(|s| s.v), para(|s| s.p)]);
+        sound.push(z[2].sound_speed());
         cost.flops += RECON_FLOPS;
     }
 
     // Fluxes at interfaces upd.start-1/2 .. upd.end+1/2 (interface i
-    // separates zones i-1 and i).
-    let mut fluxes = vec![Cons::default(); upd.end - upd.start + 1];
+    // separates zones i-1 and i), resolved LANES at a time. A short
+    // last batch repeats its final interface in the spare lanes.
+    fluxes.clear();
     let mut max_speed = 0.0f64;
-    for i in upd.start..=upd.end {
-        // Left zone i-1: right-moving characteristic domain.
-        let zl = i - 1;
-        let sl = at(zl);
-        let cl = sl.sound_speed();
-        let xl = ((sl.u + cl).max(0.0) * dtdx).min(1.0);
-        let c_l = &coef[zl - plo];
-        let left = Prim {
-            rho: avg_right(c_l[0].0, c_l[0].1, c_l[0].2, xl).max(SMALL),
-            u: avg_right(c_l[1].0, c_l[1].1, c_l[1].2, xl),
-            v: avg_right(c_l[2].0, c_l[2].1, c_l[2].2, xl),
-            p: avg_right(c_l[3].0, c_l[3].1, c_l[3].2, xl).max(SMALL),
-        };
-        // Right zone i: left-moving characteristic domain.
-        let sr = at(i);
-        let cr = sr.sound_speed();
-        let xr = ((cr - sr.u).max(0.0) * dtdx).min(1.0);
-        let c_r = &coef[i - plo];
-        let right = Prim {
-            rho: avg_left(c_r[0].0, c_r[0].1, c_r[0].2, xr).max(SMALL),
-            u: avg_left(c_r[1].0, c_r[1].1, c_r[1].2, xr),
-            v: avg_left(c_r[2].0, c_r[2].1, c_r[2].2, xr),
-            p: avg_left(c_r[3].0, c_r[3].1, c_r[3].2, xr).max(SMALL),
-        };
-        let resolved = riemann(&left, &right);
-        fluxes[i - upd.start] = flux(&resolved);
-        max_speed = max_speed.max(sl.u.abs() + cl).max(sr.u.abs() + cr);
-        cost.flops += TRACE_FLOPS + RIEMANN_FLOPS;
-        cost.divsqrt += RIEMANN_DIVSQRT;
+    let mut i0 = upd.start;
+    while i0 <= upd.end {
+        let n = (upd.end + 1 - i0).min(LANES);
+        let mut left = PrimLanes::default();
+        let mut right = PrimLanes::default();
+        for k in 0..LANES {
+            let i = i0 + k.min(n - 1);
+            // Left zone i-1: right-moving characteristic domain.
+            let sl = prim[i - 1 - lo];
+            let cl = sound[i - 1 - plo];
+            let xl = ((sl.u + cl).max(0.0) * dtdx).min(1.0);
+            let c_l = &coef[i - 1 - plo];
+            left.set(
+                k,
+                Prim {
+                    rho: avg_right(c_l[0].0, c_l[0].1, c_l[0].2, xl).max(SMALL),
+                    u: avg_right(c_l[1].0, c_l[1].1, c_l[1].2, xl),
+                    v: avg_right(c_l[2].0, c_l[2].1, c_l[2].2, xl),
+                    p: avg_right(c_l[3].0, c_l[3].1, c_l[3].2, xl).max(SMALL),
+                },
+            );
+            // Right zone i: left-moving characteristic domain.
+            let sr = prim[i - lo];
+            let cr = sound[i - plo];
+            let xr = ((cr - sr.u).max(0.0) * dtdx).min(1.0);
+            let c_r = &coef[i - plo];
+            right.set(
+                k,
+                Prim {
+                    rho: avg_left(c_r[0].0, c_r[0].1, c_r[0].2, xr).max(SMALL),
+                    u: avg_left(c_r[1].0, c_r[1].1, c_r[1].2, xr),
+                    v: avg_left(c_r[2].0, c_r[2].1, c_r[2].2, xr),
+                    p: avg_left(c_r[3].0, c_r[3].1, c_r[3].2, xr).max(SMALL),
+                },
+            );
+            if k < n {
+                max_speed = max_speed.max(sl.u.abs() + cl).max(sr.u.abs() + cr);
+            }
+        }
+        let resolved = riemann_lanes(&left, &right);
+        fluxes.extend(resolved[..n].iter().map(flux));
+        cost.flops += n as u64 * (TRACE_FLOPS + RIEMANN_FLOPS);
+        cost.divsqrt += n as u64 * RIEMANN_DIVSQRT;
+        i0 += n;
     }
 
     // Conservative update.
-    for j in upd.clone() {
+    for (j, s) in strip[upd.clone()].iter_mut().enumerate() {
         // Fluxes were computed for interfaces upd.start ..= upd.end,
         // which covers both faces of every updated zone.
-        let fl = fluxes[j - upd.start];
-        let fr = fluxes[j + 1 - upd.start];
-        let s = &mut strip[j];
+        let (fl, fr) = (fluxes[j], fluxes[j + 1]);
         s.rho -= dtdx * (fr.rho - fl.rho);
         s.mu -= dtdx * (fr.mu - fl.mu);
         s.mv -= dtdx * (fr.mv - fl.mv);
@@ -194,7 +227,7 @@ mod tests {
         };
         let mut strip = uniform(32, s);
         let before = strip.clone();
-        sweep_strip(&mut strip, 4..28, 0.1);
+        sweep_strip(&mut strip, 4..28, 0.1, &mut SweepWork::default());
         for (a, b) in strip.iter().zip(&before) {
             assert!((a.rho - b.rho).abs() < 1e-12);
             assert!((a.mu - b.mu).abs() < 1e-12);
@@ -226,7 +259,7 @@ mod tests {
             .to_cons();
         }
         let total0: f64 = strip.iter().map(|c| c.rho).sum();
-        sweep_strip(&mut strip, 4..36, 0.05);
+        sweep_strip(&mut strip, 4..36, 0.05, &mut SweepWork::default());
         let total1: f64 = strip.iter().map(|c| c.rho).sum();
         // Boundary fluxes are the uniform-state fluxes (zero mass flux
         // since u = 0 far from the bump).
@@ -270,7 +303,7 @@ mod tests {
         let mut strip: Vec<Cons> = (0..40)
             .map(|j| if j < 20 { l.to_cons() } else { r.to_cons() })
             .collect();
-        sweep_strip(&mut strip, 4..36, 0.1);
+        sweep_strip(&mut strip, 4..36, 0.1, &mut SweepWork::default());
         // Gas starts moving rightward on both sides of the interface
         // (rarefaction accelerates the left zone, the shock the right
         // one); more distant zones are untouched after one sweep.
@@ -296,9 +329,9 @@ mod tests {
             p: 1.0,
         };
         let mut a = uniform(40, s);
-        let (_, ca) = sweep_strip(&mut a, 4..36, 0.05);
+        let (_, ca) = sweep_strip(&mut a, 4..36, 0.05, &mut SweepWork::default());
         let mut b = uniform(24, s);
-        let (_, cb) = sweep_strip(&mut b, 4..20, 0.05);
+        let (_, cb) = sweep_strip(&mut b, 4..20, 0.05, &mut SweepWork::default());
         assert!(ca.flops > cb.flops);
         assert!(ca.divsqrt > cb.divsqrt);
         assert!(ca.work_accesses == 32 * 45 && cb.work_accesses == 16 * 45);
@@ -314,6 +347,121 @@ mod tests {
             p: 1.0,
         };
         let mut strip = uniform(16, s);
-        sweep_strip(&mut strip, 2..14, 0.1);
+        sweep_strip(&mut strip, 2..14, 0.1, &mut SweepWork::default());
+    }
+
+    /// The sweep before it took a workspace and resolved interfaces in
+    /// lanes, kept verbatim (on the scalar solver) as the bitwise
+    /// oracle for [`sweep_strip`].
+    fn sweep_strip_scalar(
+        strip: &mut [Cons],
+        upd: std::ops::Range<usize>,
+        dtdx: f64,
+    ) -> (f64, SweepCost) {
+        let mut cost = SweepCost::default();
+        let lo = upd.start - STENCIL;
+        let hi = upd.end + STENCIL;
+        let prim: Vec<Prim> = strip[lo..hi].iter().map(|c| c.to_prim()).collect();
+        let at = |j: usize| prim[j - lo];
+        cost.flops += (hi - lo) as u64 * 12;
+        cost.divsqrt += (hi - lo) as u64 * 2;
+        let plo = upd.start - 1;
+        let phi = upd.end + 1;
+        let mut coef = vec![[(0.0f64, 0.0f64, 0.0f64); 4]; phi - plo];
+        for j in plo..phi {
+            let g = |f: fn(&Prim) -> f64, j: usize| f(&at(j));
+            let fields: [fn(&Prim) -> f64; 4] = [|s| s.rho, |s| s.u, |s| s.v, |s| s.p];
+            for (v, f) in fields.iter().enumerate() {
+                coef[j - plo][v] = parabola(
+                    g(*f, j - 2),
+                    g(*f, j - 1),
+                    g(*f, j),
+                    g(*f, j + 1),
+                    g(*f, j + 2),
+                );
+            }
+            cost.flops += RECON_FLOPS;
+        }
+        let mut fluxes = vec![Cons::default(); upd.end - upd.start + 1];
+        let mut max_speed = 0.0f64;
+        for i in upd.start..=upd.end {
+            let zl = i - 1;
+            let sl = at(zl);
+            let cl = sl.sound_speed();
+            let xl = ((sl.u + cl).max(0.0) * dtdx).min(1.0);
+            let c_l = &coef[zl - plo];
+            let left = Prim {
+                rho: avg_right(c_l[0].0, c_l[0].1, c_l[0].2, xl).max(SMALL),
+                u: avg_right(c_l[1].0, c_l[1].1, c_l[1].2, xl),
+                v: avg_right(c_l[2].0, c_l[2].1, c_l[2].2, xl),
+                p: avg_right(c_l[3].0, c_l[3].1, c_l[3].2, xl).max(SMALL),
+            };
+            let sr = at(i);
+            let cr = sr.sound_speed();
+            let xr = ((cr - sr.u).max(0.0) * dtdx).min(1.0);
+            let c_r = &coef[i - plo];
+            let right = Prim {
+                rho: avg_left(c_r[0].0, c_r[0].1, c_r[0].2, xr).max(SMALL),
+                u: avg_left(c_r[1].0, c_r[1].1, c_r[1].2, xr),
+                v: avg_left(c_r[2].0, c_r[2].1, c_r[2].2, xr),
+                p: avg_left(c_r[3].0, c_r[3].1, c_r[3].2, xr).max(SMALL),
+            };
+            let resolved = crate::euler::riemann_scalar(&left, &right).0;
+            fluxes[i - upd.start] = flux(&resolved);
+            max_speed = max_speed.max(sl.u.abs() + cl).max(sr.u.abs() + cr);
+            cost.flops += TRACE_FLOPS + RIEMANN_FLOPS;
+            cost.divsqrt += RIEMANN_DIVSQRT;
+        }
+        for j in upd.clone() {
+            let fl = fluxes[j - upd.start];
+            let fr = fluxes[j + 1 - upd.start];
+            let s = &mut strip[j];
+            s.rho -= dtdx * (fr.rho - fl.rho);
+            s.mu -= dtdx * (fr.mu - fl.mu);
+            s.mv -= dtdx * (fr.mv - fl.mv);
+            s.e -= dtdx * (fr.e - fl.e);
+            cost.flops += UPDATE_FLOPS;
+            cost.work_accesses += WORK_PER_ZONE;
+        }
+        (max_speed, cost)
+    }
+
+    #[test]
+    fn lane_sweep_matches_the_scalar_sweep_bitwise() {
+        // Strips of 1..=13 updated zones give 2..=14 interfaces: every
+        // short last batch (1, 2 or 3 lanes) and full ones, with one
+        // workspace reused across strips that grow and shrink.
+        let mut rng = proptest::TestRng::new(0x0dd_1a9e);
+        let mut work = SweepWork::default();
+        for case in 0..600 {
+            let w = 1 + case % 13;
+            let mut strip: Vec<Cons> = (0..w + 2 * STENCIL)
+                .map(|_| {
+                    let jump = rng.below(3) == 0;
+                    Prim {
+                        rho: if jump { 0.05 } else { 1.0 } + 4.0 * rng.unit_f64(),
+                        u: 6.0 * rng.unit_f64() - 3.0,
+                        v: 2.0 * rng.unit_f64() - 1.0,
+                        p: if jump { 20.0 } else { 0.1 } * (0.5 + rng.unit_f64()),
+                    }
+                    .to_cons()
+                })
+                .collect();
+            let mut want = strip.clone();
+            let dtdx = 0.02 + 0.2 * rng.unit_f64();
+            let upd = STENCIL..STENCIL + w;
+            let (ms, cost) = sweep_strip(&mut strip, upd.clone(), dtdx, &mut work);
+            let (ms0, cost0) = sweep_strip_scalar(&mut want, upd, dtdx);
+            assert_eq!(ms.to_bits(), ms0.to_bits(), "case {case}: max speed");
+            assert_eq!(
+                (cost.flops, cost.divsqrt, cost.work_accesses),
+                (cost0.flops, cost0.divsqrt, cost0.work_accesses),
+                "case {case}: cost"
+            );
+            for (j, (a, b)) in strip.iter().zip(&want).enumerate() {
+                let bits = |c: &Cons| [c.rho, c.mu, c.mv, c.e].map(f64::to_bits);
+                assert_eq!(bits(a), bits(b), "case {case} (w = {w}) zone {j}");
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::euler::Cons;
 use crate::host::NG;
-use crate::ppm1d::{sweep_strip, SweepCost};
+use crate::ppm1d::{sweep_strip, SweepCost, SweepWork};
 use crate::problem::PpmProblem;
 use spp_core::{Cycles, MemClass, MemPort, SimArray};
 use spp_runtime::{Runtime, Team, ThreadCtx};
@@ -289,6 +289,7 @@ impl SharedPpm {
         let speeds = &mut self.speeds;
         let rep = rt.team_fork_join(team, |ctx| {
             let mut strip: Vec<Cons> = Vec::new();
+            let mut work = SweepWork::default();
             let (mut rbuf, mut mubuf, mut mvbuf, mut ebuf) =
                 (Vec::new(), Vec::new(), Vec::new(), Vec::new());
             for (t, &own) in owner.iter().enumerate().take(tiles) {
@@ -318,7 +319,7 @@ impl SharedPpm {
                                 e: ebuf[i],
                             });
                         }
-                        let (ms, cost) = sweep_strip(&mut strip, NG..NG + w, dtdx);
+                        let (ms, cost) = sweep_strip(&mut strip, NG..NG + w, dtdx, &mut work);
                         tile_speed = tile_speed.max(ms);
                         // Interior rows produce useful flops; margin
                         // rows are redundant (time only).
@@ -352,7 +353,7 @@ impl SharedPpm {
                                 e: ctx.read(e, idx),
                             });
                         }
-                        let (ms, cost) = sweep_strip(&mut strip, NG..NG + h, dtdx);
+                        let (ms, cost) = sweep_strip(&mut strip, NG..NG + h, dtdx, &mut work);
                         tile_speed = tile_speed.max(ms);
                         charge(ctx, &cost, true);
                         for (r, s) in strip.iter().enumerate().take(NG + h).skip(NG) {

@@ -140,3 +140,34 @@ fn trace_replay_is_bit_identical_under_an_active_fault_plan() {
     assert_eq!(fresh.failed_rings(), m.failed_rings());
     assert_eq!(fresh.degraded_nodes(), m.degraded_nodes());
 }
+
+/// The full coherence state (`Machine::coherence_digest`) after one
+/// step of PPM and of FEM on the paper's 16-CPU machine, pinned: the
+/// directory, cache and SCI storage may change form, never content.
+#[test]
+fn coherence_digest_after_one_ppm_and_one_fem_step_is_pinned() {
+    let mut rt = Runtime::spp1000(2);
+    let team = Team::place(rt.machine.config(), 16, &Placement::Uniform);
+    let mut s = ppm::SharedPpm::new(&mut rt, ppm::PpmProblem::table2(60, 240, 2, 8), &team);
+    s.step(&mut rt, &team);
+    let d = rt.machine.coherence_digest();
+    assert_eq!(
+        d, 0x3f8b_38d4_d87c_9565,
+        "PPM coherence digest moved: {d:#018x}"
+    );
+
+    let mut rt = Runtime::spp1000(2);
+    let team = Team::place(rt.machine.config(), 16, &Placement::Uniform);
+    let mut s = fem::SharedFem::new(
+        &mut rt,
+        fem::structured(64, 48),
+        fem::Coding::ScatterAdd,
+        &team,
+    );
+    s.step(&mut rt, &team, 0.3);
+    let d = rt.machine.coherence_digest();
+    assert_eq!(
+        d, 0x8e8e_f9a4_ed5b_c85e,
+        "FEM coherence digest moved: {d:#018x}"
+    );
+}
