@@ -50,6 +50,13 @@ test -s target/repro/BENCH_chaos.json
 grep -q '"passed": true' target/repro/BENCH_chaos.json
 echo "   target/repro/BENCH_chaos.json OK"
 
+echo "== chaos report determinism (two runs, byte-identical JSON)"
+cp target/repro/BENCH_chaos.json target/repro/BENCH_chaos.first.json
+SPP_CHECK=1 "$SPP" repro chaos --steps 1 >/dev/null
+cmp target/repro/BENCH_chaos.first.json target/repro/BENCH_chaos.json
+rm -f target/repro/BENCH_chaos.first.json
+echo "   BENCH_chaos.json byte-identical across runs"
+
 echo "== spp repro trace smoke run (1 step, tracing + reconciliation gates)"
 "$SPP" repro trace --steps 1 >/dev/null
 test -s target/repro/BENCH_trace.json
@@ -62,6 +69,15 @@ test -s target/repro/BENCH_race.json
 grep -q '"passed": true' target/repro/BENCH_race.json
 test -s target/repro/race_repro.json
 echo "   target/repro/BENCH_race.json OK"
+
+echo "== race report determinism (two runs, byte-identical JSON and reproducer)"
+cp target/repro/BENCH_race.json target/repro/BENCH_race.first.json
+cp target/repro/race_repro.json target/repro/race_repro.first.json
+"$SPP" repro race --steps 1 >/dev/null
+cmp target/repro/BENCH_race.first.json target/repro/BENCH_race.json
+cmp target/repro/race_repro.first.json target/repro/race_repro.json
+rm -f target/repro/BENCH_race.first.json target/repro/race_repro.first.json
+echo "   BENCH_race.json and race_repro.json byte-identical across runs"
 
 echo "== spp repro backend smoke run (5 steps: sweep, batched = scalar, trace replay)"
 "$SPP" repro backend --steps 5 >/dev/null

@@ -10,49 +10,68 @@
 //! (written by `spp repro chaos` under `target/repro`, or
 //! `SPP_REPRO_DIR`), following the `BENCH_*.json` convention.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::{emit, Opts, Table};
-use fem::{Coding, SharedFem};
-use nbody::{NbodyProblem, SharedNbody};
-use pic::{PicProblem, SharedPic};
-use spp_core::panic_message;
-use spp_core::{Cycles, FaultPlan, Machine, ProtocolKind, StallKind, Watchdog};
+use spp_core::{
+    json_escape, panic_message, CancelToken, Cycles, FaultEvent, FaultPlan, Machine, ProtocolKind,
+    StallKind, Watchdog,
+};
 use spp_runtime::{Placement, Runtime, Team};
+use spp_scenario::{run_shared_app, SharedRun, WorkloadApp};
 
-/// One injectable fault event of the campaign grid — the unit the
-/// shrinker removes when minimizing a failing plan. Now the shared
-/// [`spp_core::FaultEvent`] (the scenario engine's spec files and the
-/// `spp repro faults` sweep build plans from the same type); the old
-/// `ChaosEvent` name is kept as an alias.
-pub type ChaosEvent = spp_core::FaultEvent;
-
-/// Assemble a seeded fault plan from an event list (the campaign's
-/// plan constructor, also what the shrinker re-runs subsets through).
-/// Delegates to the shared [`FaultPlan::from_events`] constructor.
-pub fn build_plan(seed: u64, events: &[ChaosEvent]) -> FaultPlan {
-    FaultPlan::from_events(seed, events)
-}
-
-/// The applications the campaign sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The campaign workloads: the four shared-memory applications on a
+/// 2-hypernode machine with 8 threads — PIC on an 8x8x8 mesh and
+/// N-body with 1024 bodies placed Uniform, FEM on a 32x32 mesh (CFL
+/// 0.3) and tiny PPM placed HighLocality. The chaos and recovery
+/// campaigns sweep [`Workload::FAULTED`]; the race campaign all four.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
-    /// Shared-memory particle-in-cell (8x8x8 mesh, 8 CPUs, 2 nodes).
+    /// Particle-in-cell.
     Pic,
-    /// Shared-memory N-body tree code (1024 bodies, 8 CPUs, 2 nodes).
+    /// N-body tree code.
     Nbody,
-    /// Shared-memory FEM (32x32 structured mesh, 8 CPUs, 2 nodes).
+    /// FEM, scatter-add coding.
     Fem,
+    /// PPM gas dynamics.
+    Ppm,
 }
 
 impl Workload {
+    /// The workloads the fault campaigns sweep, in grid order.
+    pub const FAULTED: [Workload; 3] = [Workload::Pic, Workload::Nbody, Workload::Fem];
+
+    /// Every workload, in campaign order.
+    pub fn all() -> [Workload; 4] {
+        [Workload::Pic, Workload::Nbody, Workload::Fem, Workload::Ppm]
+    }
+
     /// Short stable label.
     pub fn label(&self) -> &'static str {
+        self.app().label()
+    }
+
+    /// The application and its size.
+    pub fn app(self) -> WorkloadApp {
         match self {
-            Workload::Pic => "pic",
-            Workload::Nbody => "nbody",
-            Workload::Fem => "fem",
+            Workload::Pic => WorkloadApp::Pic { mesh: (8, 8, 8) },
+            Workload::Nbody => WorkloadApp::Nbody { bodies: 1024 },
+            Workload::Fem => WorkloadApp::Fem { nx: 32, ny: 32 },
+            Workload::Ppm => WorkloadApp::Ppm,
         }
+    }
+
+    /// Run on `rt` (a 2-hypernode machine): set-up, one warm-up step,
+    /// then `steps` measured steps.
+    pub(crate) fn run(self, rt: Runtime, steps: usize) -> SharedRun {
+        let placement = match self {
+            Workload::Pic | Workload::Nbody => Placement::Uniform,
+            Workload::Fem | Workload::Ppm => Placement::HighLocality,
+        };
+        let team = Team::place(rt.machine.config(), 8, &placement);
+        run_shared_app(self.app(), rt, &team, steps, 0.3, &CancelToken::new())
+            .expect("an uncancelled shared-memory run finishes")
     }
 }
 
@@ -74,31 +93,11 @@ pub struct CellStats {
 }
 
 fn workload_run(w: Workload, proto: ProtocolKind, plan: FaultPlan, steps: usize) -> CellStats {
-    let mut rt = Runtime::new(Machine::spp1000(2).with_protocol(proto).with_faults(plan));
-    let elapsed = match w {
-        Workload::Pic => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
-            let mut sim = SharedPic::new(&mut rt, PicProblem::with_mesh(8, 8, 8), &team);
-            sim.step(&mut rt, &team); // warm-up
-            sim.run(&mut rt, &team, steps).elapsed
-        }
-        Workload::Nbody => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
-            let mut sim = SharedNbody::new(&mut rt, NbodyProblem::with_n(1024), &team);
-            sim.step(&mut rt, &team);
-            sim.run(&mut rt, &team, steps).elapsed
-        }
-        Workload::Fem => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::HighLocality);
-            let mut sim =
-                SharedFem::new(&mut rt, fem::structured(32, 32), Coding::ScatterAdd, &team);
-            sim.step(&mut rt, &team, 0.3);
-            sim.run(&mut rt, &team, 0.3, steps).elapsed
-        }
-    };
-    let m = &rt.machine;
+    let rt = Runtime::new(Machine::spp1000(2).with_protocol(proto).with_faults(plan));
+    let run = w.run(rt, steps);
+    let m = &run.rt.machine;
     CellStats {
-        elapsed,
+        elapsed: run.totals.cycles,
         ring_stalls: m.stats.ring_stalls,
         link_reroutes: m.stats.link_reroutes,
         dead_cpus: m.dead_cpu_list().len(),
@@ -107,20 +106,20 @@ fn workload_run(w: Workload, proto: ProtocolKind, plan: FaultPlan, steps: usize)
     }
 }
 
-/// Run one campaign cell: `workload` under `build_plan(seed, events)`,
-/// inside `catch_unwind` (the coherence checker's violations and any
-/// other panic become the error string) and under a simulated-cycle
-/// budget (a run blowing past it is reported as a watchdog trip, not
-/// left to crawl forever).
+/// Run one campaign cell: `workload` under the fault plan of `events`
+/// seeded by `seed`, inside `catch_unwind` (the coherence checker's
+/// violations and any other panic become the error string) and under
+/// a simulated-cycle budget (a run blowing past it is reported as a
+/// watchdog trip, not left to crawl forever).
 pub fn run_cell(
     w: Workload,
     proto: ProtocolKind,
     seed: u64,
-    events: &[ChaosEvent],
+    events: &[FaultEvent],
     steps: usize,
     budget: &Watchdog,
 ) -> Result<CellStats, String> {
-    let plan = build_plan(seed, events);
+    let plan = FaultPlan::from_events(seed, events);
     let out = catch_unwind(AssertUnwindSafe(|| workload_run(w, proto, plan, steps)));
     match out {
         Err(p) => Err(panic_message(p)),
@@ -166,13 +165,19 @@ pub fn shrink<T: Clone>(items: &[T], mut fails: impl FnMut(&[T]) -> bool) -> Vec
     cur
 }
 
-/// [`shrink`] specialised to fault-event lists (the chaos campaign's
-/// historical entry point).
-pub fn shrink_events(
-    events: &[ChaosEvent],
-    fails: impl FnMut(&[ChaosEvent]) -> bool,
-) -> Vec<ChaosEvent> {
-    shrink(events, fails)
+/// `events` as the items of a JSON array of strings.
+pub(crate) fn json_events(events: &[FaultEvent]) -> String {
+    let items: Vec<String> = events
+        .iter()
+        .map(|e| format!("\"{}\"", json_escape(&e.desc())))
+        .collect();
+    items.join(", ")
+}
+
+/// `events` as one table cell.
+pub(crate) fn joined_events(events: &[FaultEvent]) -> String {
+    let descs: Vec<String> = events.iter().map(FaultEvent::desc).collect();
+    descs.join(" + ")
 }
 
 /// One grid cell (what to run).
@@ -185,7 +190,7 @@ pub struct Cell {
     /// Fault-plan seed.
     pub seed: u64,
     /// Fault events layered onto the plan.
-    pub events: Vec<ChaosEvent>,
+    pub events: Vec<FaultEvent>,
 }
 
 /// One grid cell's outcome (what happened).
@@ -198,7 +203,7 @@ pub struct CellResult {
     /// Panic / watchdog message on failure.
     pub failure: Option<String>,
     /// Minimal failing event subset (present only on failure).
-    pub shrunk: Option<Vec<ChaosEvent>>,
+    pub shrunk: Option<Vec<FaultEvent>>,
 }
 
 impl CellResult {
@@ -256,11 +261,7 @@ impl Campaign {
                     format!("{:02b}", s.degraded_nodes),
                 ]),
                 (_, Some(msg)) => {
-                    let shrunk = r
-                        .shrunk
-                        .as_ref()
-                        .map(|ev| ev.iter().map(|e| e.desc()).collect::<Vec<_>>().join(" + "))
-                        .unwrap_or_default();
+                    let shrunk = joined_events(r.shrunk.as_deref().unwrap_or_default());
                     t.row(vec![
                         wl,
                         r.cell.seed.to_string(),
@@ -281,8 +282,7 @@ impl Campaign {
     }
 
     /// Machine-readable form (the `BENCH_chaos.json` ci.sh asserts on,
-    /// following the `BENCH_*.json` convention). Event
-    /// descriptions contain no characters needing JSON escaping.
+    /// following the `BENCH_*.json` convention).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!(
@@ -305,13 +305,7 @@ impl Campaign {
                 ProtocolKind::DashSci => String::new(),
                 p => format!("\"protocol\": \"{}\", ", p.label()),
             };
-            let events = r
-                .cell
-                .events
-                .iter()
-                .map(|e| format!("\"{}\"", e.desc()))
-                .collect::<Vec<_>>()
-                .join(", ");
+            let events = json_events(&r.cell.events);
             match &r.stats {
                 Some(s) => out.push_str(&format!(
                     "    {{\"workload\": \"{}\", {proto}\"seed\": {}, \"events\": [{events}], \
@@ -328,23 +322,8 @@ impl Campaign {
                     s.degraded_nodes
                 )),
                 None => {
-                    let msg = r
-                        .failure
-                        .as_deref()
-                        .unwrap_or("")
-                        .replace('\\', "\\\\")
-                        .replace('"', "\\\"")
-                        .replace('\n', " ");
-                    let shrunk = r
-                        .shrunk
-                        .as_ref()
-                        .map(|ev| {
-                            ev.iter()
-                                .map(|e| format!("\"{}\"", e.desc()))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        })
-                        .unwrap_or_default();
+                    let msg = json_escape(r.failure.as_deref().unwrap_or(""));
+                    let shrunk = json_events(r.shrunk.as_deref().unwrap_or_default());
                     out.push_str(&format!(
                         "    {{\"workload\": \"{}\", {proto}\"seed\": {}, \"events\": [{events}], \
                          \"pass\": false, \"failure\": \"{msg}\", \
@@ -372,38 +351,38 @@ impl Campaign {
 /// The event lists the grid layers onto each (workload, seed) pair.
 /// Low intensity: transient stalls plus one mid-run CPU death. High
 /// intensity: every failure site at once.
-fn intensities() -> Vec<Vec<ChaosEvent>> {
+fn intensities() -> Vec<Vec<FaultEvent>> {
     vec![
         vec![
-            ChaosEvent::RingStalls {
+            FaultEvent::RingStalls {
                 prob: 0.01,
                 stall: 500,
             },
-            ChaosEvent::CpuFail {
+            FaultEvent::CpuFail {
                 cpu: 2,
                 at_cycle: 400_000,
             },
         ],
         vec![
-            ChaosEvent::RingStalls {
+            FaultEvent::RingStalls {
                 prob: 0.05,
                 stall: 1_000,
             },
-            ChaosEvent::MsgFaults {
+            FaultEvent::MsgFaults {
                 drop: 0.05,
                 dup: 0.02,
             },
-            ChaosEvent::SpawnFail { prob: 0.05 },
-            ChaosEvent::CpuFail {
+            FaultEvent::SpawnFail { prob: 0.05 },
+            FaultEvent::CpuFail {
                 cpu: 2,
                 at_cycle: 500_000,
             },
-            ChaosEvent::LinkFail {
+            FaultEvent::LinkFail {
                 ring: 0,
                 at_cycle: 300_000,
                 reroute_cycles: 600,
             },
-            ChaosEvent::GcbDegrade {
+            FaultEvent::GcbDegrade {
                 node: 1,
                 at_cycle: 1_200_000,
             },
@@ -417,7 +396,7 @@ fn intensities() -> Vec<Vec<ChaosEvent>> {
 pub fn default_grid(full: bool) -> Vec<Cell> {
     let seeds: &[u64] = if full { &[11, 23, 47, 61] } else { &[11, 23] };
     let mut cells = Vec::new();
-    for w in [Workload::Pic, Workload::Nbody, Workload::Fem] {
+    for w in Workload::FAULTED {
         for &seed in seeds {
             for events in intensities() {
                 cells.push(Cell {
@@ -435,7 +414,7 @@ pub fn default_grid(full: bool) -> Vec<Cell> {
     // stays fast.
     let alt_seeds: &[u64] = if full { &[11, 23] } else { &[11] };
     for proto in [ProtocolKind::Mesi, ProtocolKind::Dragon] {
-        for w in [Workload::Pic, Workload::Nbody, Workload::Fem] {
+        for w in Workload::FAULTED {
             for &seed in alt_seeds {
                 for events in intensities() {
                     cells.push(Cell {
@@ -457,23 +436,16 @@ pub fn default_grid(full: bool) -> Vec<Cell> {
 /// Failing cells are shrunk to minimal reproducers before returning.
 pub fn run_campaign(cells: &[Cell], steps: usize, full: bool) -> Campaign {
     const BUDGET_FACTOR: u64 = 50;
-    type CleanKey = (Workload, ProtocolKind);
-    let mut clean: Vec<(CleanKey, Cycles)> = Vec::new();
-    let budget_for = |key: CleanKey, clean: &mut Vec<(CleanKey, Cycles)>| -> Watchdog {
-        let base = match clean.iter().find(|(ck, _)| *ck == key) {
-            Some((_, c)) => *c,
-            None => {
-                let c = workload_run(key.0, key.1, FaultPlan::new(0), steps).elapsed;
-                clean.push((key, c));
-                c
-            }
-        };
-        Watchdog::new(base.saturating_mul(BUDGET_FACTOR))
-    };
+    let mut clean: HashMap<(Workload, ProtocolKind), Cycles> = HashMap::new();
     let results = cells
         .iter()
         .map(|cell| {
-            let budget = budget_for((cell.workload, cell.protocol), &mut clean);
+            let base = *clean
+                .entry((cell.workload, cell.protocol))
+                .or_insert_with(|| {
+                    workload_run(cell.workload, cell.protocol, FaultPlan::new(0), steps).elapsed
+                });
+            let budget = Watchdog::new(base.saturating_mul(BUDGET_FACTOR));
             match run_cell(
                 cell.workload,
                 cell.protocol,
@@ -489,7 +461,7 @@ pub fn run_campaign(cells: &[Cell], steps: usize, full: bool) -> Campaign {
                     shrunk: None,
                 },
                 Err(msg) => {
-                    let shrunk = shrink_events(&cell.events, |ev| {
+                    let shrunk = shrink(&cell.events, |ev| {
                         run_cell(cell.workload, cell.protocol, cell.seed, ev, steps, &budget)
                             .is_err()
                     });
@@ -546,22 +518,22 @@ pub fn run(o: &Opts) -> String {
 mod tests {
     use super::*;
 
-    fn short_events() -> Vec<ChaosEvent> {
+    fn short_events() -> Vec<FaultEvent> {
         vec![
-            ChaosEvent::RingStalls {
+            FaultEvent::RingStalls {
                 prob: 0.02,
                 stall: 500,
             },
-            ChaosEvent::CpuFail {
+            FaultEvent::CpuFail {
                 cpu: 2,
                 at_cycle: 100_000,
             },
-            ChaosEvent::LinkFail {
+            FaultEvent::LinkFail {
                 ring: 1,
                 at_cycle: 200_000,
                 reroute_cycles: 600,
             },
-            ChaosEvent::GcbDegrade {
+            FaultEvent::GcbDegrade {
                 node: 1,
                 at_cycle: 300_000,
             },
@@ -628,17 +600,17 @@ mod tests {
         // interaction inside a six-event plan).
         let events = intensities().remove(1);
         assert_eq!(events.len(), 6);
-        let fails = |ev: &[ChaosEvent]| {
-            ev.iter().any(|e| matches!(e, ChaosEvent::CpuFail { .. }))
+        let fails = |ev: &[FaultEvent]| {
+            ev.iter().any(|e| matches!(e, FaultEvent::CpuFail { .. }))
                 && ev
                     .iter()
-                    .any(|e| matches!(e, ChaosEvent::GcbDegrade { .. }))
+                    .any(|e| matches!(e, FaultEvent::GcbDegrade { .. }))
         };
         assert!(fails(&events));
-        let min = shrink_events(&events, fails);
+        let min = shrink(&events, fails);
         assert_eq!(min.len(), 2, "minimal reproducer: {min:?}");
-        assert!(matches!(min[0], ChaosEvent::CpuFail { .. }));
-        assert!(matches!(min[1], ChaosEvent::GcbDegrade { .. }));
+        assert!(matches!(min[0], FaultEvent::CpuFail { .. }));
+        assert!(matches!(min[1], FaultEvent::GcbDegrade { .. }));
     }
 
     #[test]
@@ -649,9 +621,9 @@ mod tests {
         // catch_unwind + shrink — must catch it and reduce the
         // six-event plan to the ≤3-event reproducer.
         let events = intensities().remove(1);
-        let buggy = |ev: &[ChaosEvent]| -> Result<(), String> {
-            let trips = ev.iter().any(|e| matches!(e, ChaosEvent::LinkFail { .. }))
-                && ev.iter().any(|e| matches!(e, ChaosEvent::SpawnFail { .. }));
+        let buggy = |ev: &[FaultEvent]| -> Result<(), String> {
+            let trips = ev.iter().any(|e| matches!(e, FaultEvent::LinkFail { .. }))
+                && ev.iter().any(|e| matches!(e, FaultEvent::SpawnFail { .. }));
             let out = catch_unwind(AssertUnwindSafe(|| {
                 if trips {
                     panic!("coherence violation: sci-well-formed (injected test bug)");
@@ -661,7 +633,7 @@ mod tests {
         };
         let msg = buggy(&events).expect_err("the planted bug must fire on the full plan");
         assert!(msg.contains("coherence violation"), "{msg}");
-        let min = shrink_events(&events, |ev| buggy(ev).is_err());
+        let min = shrink(&events, |ev| buggy(ev).is_err());
         assert!(min.len() <= 3, "reproducer too large: {min:?}");
         assert!(buggy(&min).is_err(), "shrunk plan must still fail");
     }
@@ -722,11 +694,40 @@ mod tests {
         }];
         let c = run_campaign(&cells, 1, false);
         assert!(c.passed());
-        let j = c.to_json();
-        assert!(j.contains("\"passed\": true"), "{j}");
-        assert!(j.contains("\"workload\": \"pic\""), "{j}");
-        assert!(j.contains("cpu-fail(cpu=2@100000)"), "{j}");
-        assert!(j.trim_end().ends_with('}'));
+        let doc = crate::parse_report(&c.to_json());
+        assert_eq!(doc.bool_field("passed"), Some(true));
+        assert_eq!(doc.int_field("cells"), Some(1));
+        let row = &crate::report_array(&doc, "grid")[0];
+        assert_eq!(row.str_field("workload"), Some("pic"));
+        assert_eq!(row.bool_field("pass"), Some(true));
+        let events = crate::report_array(row, "events");
+        assert_eq!(events[1].as_str(), Some("cpu-fail(cpu=2@100000)"));
+    }
+
+    #[test]
+    fn control_characters_in_a_failure_message_stay_valid_json() {
+        let msg = "checker said \"no\"\tat\u{1} line\r\nC:\\path";
+        let c = Campaign {
+            results: vec![CellResult {
+                cell: Cell {
+                    workload: Workload::Fem,
+                    protocol: ProtocolKind::Mesi,
+                    seed: 11,
+                    events: short_events(),
+                },
+                stats: None,
+                failure: Some(msg.to_string()),
+                shrunk: Some(short_events()[..1].to_vec()),
+            }],
+            steps: 1,
+            full: false,
+        };
+        let doc = crate::parse_report(&c.to_json());
+        assert_eq!(doc.bool_field("passed"), Some(false));
+        let row = &crate::report_array(&doc, "grid")[0];
+        assert_eq!(row.str_field("failure"), Some(msg));
+        assert_eq!(row.str_field("protocol"), Some("mesi"));
+        assert_eq!(crate::report_array(row, "reproducer").len(), 1);
     }
 
     #[test]
@@ -751,7 +752,7 @@ mod tests {
             &Watchdog::new(1),
         )
         .expect_err("must trip");
-        let shrunk = shrink_events(&cell.events, |ev| {
+        let shrunk = shrink(&cell.events, |ev| {
             run_cell(
                 cell.workload,
                 cell.protocol,
@@ -776,9 +777,13 @@ mod tests {
             full: false,
         };
         assert!(!c.passed());
-        let j = c.to_json();
-        assert!(j.contains("\"pass\": false"), "{j}");
-        assert!(j.contains("\"reproducer\": []"), "{j}");
+        let doc = crate::parse_report(&c.to_json());
+        let row = &crate::report_array(&doc, "grid")[0];
+        assert_eq!(row.bool_field("pass"), Some(false));
+        assert!(row
+            .str_field("failure")
+            .is_some_and(|m| m.contains("watchdog trip")));
+        assert!(crate::report_array(row, "reproducer").is_empty());
         assert!(c.render().contains("FAIL"));
     }
 }

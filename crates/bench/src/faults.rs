@@ -333,14 +333,16 @@ mod tests {
             a: pic_shared(FaultPlan::standard(42), 1),
             b: pic_shared(FaultPlan::standard(42), 1),
         }];
-        let j = to_json(&cases, 1);
-        assert!(j.contains("\"passed\": true"), "{j}");
-        assert!(j.contains("\"workload\": \"PIC shared\""), "{j}");
-        assert!(j.trim_end().ends_with('}'));
         let dir = std::env::temp_dir().join("spp-faults-report-test");
         let json = write_report(&cases, 1, &dir).unwrap();
         assert!(json.ends_with("BENCH_faults.json"));
-        assert!(json.exists());
+        let doc = crate::parse_report(&std::fs::read_to_string(&json).unwrap());
+        assert_eq!(doc.str_field("experiment"), Some("faults"));
+        assert_eq!(doc.bool_field("passed"), Some(true));
+        let case = &crate::report_array(&doc, "cases")[0];
+        assert_eq!(case.str_field("workload"), Some("PIC shared"));
+        assert_eq!(case.int_field("seed"), Some(42));
+        assert_eq!(case.bool_field("identical"), Some(true));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,16 +16,19 @@
 //! Writes an integers-only, byte-stable `BENCH_insight.json` that
 //! ci.sh byte-compares across a double run.
 
+use crate::protocol::run_app;
 use crate::{emit, Opts, Table};
-use fem::{self, Coding, SharedFem};
-use nbody::{NbodyProblem, SharedNbody};
-use pic::{PicProblem, SharedPic};
-use ppm::{PpmProblem, SharedPpm};
 use spp_core::{heat_by_region, heat_report, Machine, MemStats, ProtocolKind};
-use spp_runtime::{Placement, Runtime, Team};
+use spp_scenario::WorkloadApp;
 
-/// The applications the campaign sweeps (all four of the paper's).
-pub const APPS: [&str; 4] = ["pic", "nbody", "fem", "ppm"];
+/// The applications the campaign sweeps (all four of the paper's), at
+/// their campaign sizes.
+pub const APPS: [WorkloadApp; 4] = [
+    WorkloadApp::Pic { mesh: (8, 8, 8) },
+    WorkloadApp::Nbody { bodies: 2048 },
+    WorkloadApp::Fem { nx: 24, ny: 24 },
+    WorkloadApp::Ppm,
+];
 
 /// Hypernodes per cell (16 CPUs: enough for cross-node SCI traffic
 /// without making the 12-cell sweep expensive).
@@ -64,48 +67,9 @@ pub struct Cell {
     pub stats: MemStats,
 }
 
-fn run_app(m: Machine, app: &str, steps: usize) -> (u64, Machine) {
-    let mut rt = Runtime::new(m);
-    let team = Team::place(rt.machine.config(), 8 * HYPERNODES, &Placement::Uniform);
-    let mut cycles = 0u64;
-    match app {
-        "pic" => {
-            let mut sim = SharedPic::new(&mut rt, PicProblem::with_mesh(8, 8, 8), &team);
-            sim.step(&mut rt, &team); // warm-up
-            for _ in 0..steps {
-                cycles += sim.step(&mut rt, &team).elapsed;
-            }
-        }
-        "nbody" => {
-            let mut sim = SharedNbody::new(&mut rt, NbodyProblem::with_n(2048), &team);
-            sim.step(&mut rt, &team);
-            for _ in 0..steps {
-                cycles += sim.step(&mut rt, &team).0;
-            }
-        }
-        "fem" => {
-            let mut sim =
-                SharedFem::new(&mut rt, fem::structured(24, 24), Coding::ScatterAdd, &team);
-            sim.step(&mut rt, &team, 0.2);
-            for _ in 0..steps {
-                cycles += sim.step(&mut rt, &team, 0.2).0;
-            }
-        }
-        "ppm" => {
-            let mut sim = SharedPpm::new(&mut rt, PpmProblem::tiny(), &team);
-            sim.step(&mut rt, &team);
-            for _ in 0..steps {
-                cycles += sim.step(&mut rt, &team).0;
-            }
-        }
-        other => panic!("unknown app {other:?}"),
-    }
-    (cycles, rt.machine)
-}
-
 /// Run one cell: the attributed run (heatmap + race detector mounted)
 /// plus a plain run for the transparency check.
-pub fn run_cell(kind: ProtocolKind, app: &'static str, steps: usize) -> Cell {
+pub fn run_cell(kind: ProtocolKind, app: WorkloadApp, steps: usize) -> Cell {
     let attributed_machine = Machine::spp1000(HYPERNODES)
         .with_protocol(kind)
         .with_heatmap()
@@ -132,7 +96,7 @@ pub fn run_cell(kind: ProtocolKind, app: &'static str, steps: usize) -> Cell {
 
     Cell {
         protocol: kind.label(),
-        app,
+        app: app.label(),
         cycles,
         clock: m.clock(),
         attributed: h.totals().total_cycles(),
@@ -281,7 +245,7 @@ pub fn run(o: &Opts) -> String {
             .with_protocol(ProtocolKind::DashSci)
             .with_heatmap()
             .with_race_detection();
-        run_app(machine, "pic", o.steps).1
+        run_app(machine, APPS[0], o.steps).1
     };
     text.push_str(&emit(
         "repro-insight: heat report (PIC, dash-sci)",
@@ -303,7 +267,7 @@ mod tests {
     #[test]
     fn every_protocol_cell_partitions_and_is_transparent() {
         for kind in ProtocolKind::ALL {
-            let c = run_cell(kind, "pic", 1);
+            let c = run_cell(kind, APPS[0], 1);
             assert!(c.partition_ok, "{} partition violated", c.protocol);
             assert!(
                 c.transparent,
@@ -318,7 +282,7 @@ mod tests {
 
     #[test]
     fn hottest_region_carries_an_application_label() {
-        let c = run_cell(ProtocolKind::DashSci, "nbody", 1);
+        let c = run_cell(ProtocolKind::DashSci, APPS[1], 1);
         // nbody labels its arrays at alloc time; the hottest region
         // must resolve to one of them, never the "?" fallback.
         assert_ne!(c.hottest_region.0, "?", "{:?}", c.hottest_region);
@@ -328,29 +292,37 @@ mod tests {
     #[test]
     fn json_is_byte_stable_and_integers_only() {
         let cells = vec![
-            run_cell(ProtocolKind::DashSci, "fem", 1),
-            run_cell(ProtocolKind::Mesi, "fem", 1),
+            run_cell(ProtocolKind::DashSci, APPS[2], 1),
+            run_cell(ProtocolKind::Mesi, APPS[2], 1),
         ];
         let a = to_json(&cells, 1);
         let again = vec![
-            run_cell(ProtocolKind::DashSci, "fem", 1),
-            run_cell(ProtocolKind::Mesi, "fem", 1),
+            run_cell(ProtocolKind::DashSci, APPS[2], 1),
+            run_cell(ProtocolKind::Mesi, APPS[2], 1),
         ];
         let b = to_json(&again, 1);
         assert_eq!(a, b);
-        assert!(a.contains("\"heat_partition_check\": true"), "{a}");
-        assert!(a.contains("\"attribution_transparent\": true"), "{a}");
         assert!(!a.contains('.'), "floats leaked into the report: {a}");
+        let doc = crate::parse_report(&a);
+        assert_eq!(doc.bool_field("passed"), Some(true));
+        for row in crate::report_array(&doc, "cells") {
+            assert_eq!(row.str_field("app"), Some("fem"));
+            assert_eq!(row.bool_field("heat_partition_check"), Some(true));
+            assert_eq!(row.bool_field("attribution_transparent"), Some(true));
+        }
     }
 
     #[test]
     fn report_lands_on_disk() {
-        let cells = vec![run_cell(ProtocolKind::Dragon, "ppm", 1)];
+        let cells = vec![run_cell(ProtocolKind::Dragon, APPS[3], 1)];
         let dir = std::env::temp_dir().join("spp-insight-report-test");
         let json = write_report(&cells, 1, &dir).unwrap();
         assert!(json.ends_with("BENCH_insight.json"));
-        let text = std::fs::read_to_string(&json).unwrap();
-        assert!(text.contains("\"experiment\": \"insight\""));
+        let doc = crate::parse_report(&std::fs::read_to_string(&json).unwrap());
+        assert_eq!(doc.str_field("experiment"), Some("insight"));
+        let row = &crate::report_array(&doc, "cells")[0];
+        assert_eq!(row.str_field("protocol"), Some("dragon"));
+        assert_eq!(row.str_field("app"), Some("ppm"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -115,6 +115,28 @@ pub fn emit(title: &str, body: &str) -> String {
     text
 }
 
+/// Parse a `BENCH_*.json` report with the in-tree JSON reader and
+/// return it, failing the test on invalid JSON or on a raw control
+/// character (the reader tolerates those inside strings; strict JSON
+/// does not).
+#[cfg(test)]
+pub(crate) fn parse_report(json: &str) -> spp_serve::Json {
+    assert!(
+        !json.chars().any(|c| c.is_control() && c != '\n'),
+        "raw control character in {json:?}"
+    );
+    spp_serve::parse(json).unwrap_or_else(|e| panic!("{e}: {json}"))
+}
+
+/// The array under `key` of a parsed report.
+#[cfg(test)]
+pub(crate) fn report_array<'a>(doc: &'a spp_serve::Json, key: &str) -> &'a [spp_serve::Json] {
+    match doc.get(key) {
+        Some(spp_serve::Json::Arr(items)) => items,
+        other => panic!("{key} is not an array: {other:?}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

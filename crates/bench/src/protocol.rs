@@ -13,11 +13,16 @@
 //! The sweep crosses protocol × topology × application, climbing past
 //! the paper's 2-hypernode testbed to 32 hypernodes (256 CPUs) and —
 //! under `--full` — the 128-hypernode, 1024-CPU architectural limit.
-//! That scale is only affordable because every line-tracking
-//! structure is sparse: the report records each cell's live
-//! coherence-entry and cached-line counts, which stay proportional to
-//! the lines the application touched rather than to the address space
-//! or CPU count.
+//! Caches and the per-node directories are dense (indexed) on machines
+//! of at most 16 CPUs — the paper's 2-hypernode testbed — and sparse
+//! above that, which is what makes 256 and 1024 CPUs affordable. The
+//! report records each cell's live coherence-entry and cached-line
+//! counts, which stay proportional to the lines the application
+//! touched rather than to the address space or CPU count.
+//!
+//! Each cell is the run of a `WorkloadSpec` cell with 8 threads per
+//! hypernode placed Uniform: both go through
+//! [`spp_scenario::run_shared_app`].
 //!
 //! The machine-readable summary is `BENCH_protocol.json` under
 //! `target/repro/` (override with `SPP_REPRO_DIR`), following the
@@ -27,12 +32,9 @@
 //! `cmp`s the JSON.
 
 use crate::{emit, Opts, Table};
-use fem::{Coding, SharedFem};
-use nbody::{NbodyProblem, SharedNbody};
-use pic::{PicProblem, SharedPic};
-use ppm::{PpmProblem, SharedPpm};
-use spp_core::{Machine, MemStats, ProtocolKind};
+use spp_core::{CancelToken, Machine, MemStats, ProtocolKind};
 use spp_runtime::{Placement, Runtime, Team};
+use spp_scenario::{run_shared_app, WorkloadApp};
 
 /// Hypernode counts swept by default: the paper's testbed and the
 /// 256-CPU point.
@@ -41,8 +43,13 @@ pub const NODES_QUICK: [usize; 2] = [2, 32];
 /// `--full` adds the architectural limit (1024 CPUs).
 pub const NODES_FULL: [usize; 3] = [2, 32, 128];
 
-/// The four applications the sweep replays.
-pub const APPS: [&str; 4] = ["pic", "nbody", "fem", "ppm"];
+/// The four applications the sweep replays, at their sweep sizes.
+pub const APPS: [WorkloadApp; 4] = [
+    WorkloadApp::Pic { mesh: (8, 8, 8) },
+    WorkloadApp::Nbody { bodies: 4096 },
+    WorkloadApp::Fem { nx: 32, ny: 32 },
+    WorkloadApp::Ppm,
+];
 
 /// One (protocol, topology, application) cell of the sweep.
 #[derive(Debug, Clone)]
@@ -66,55 +73,34 @@ pub struct Cell {
     pub cached: usize,
 }
 
+/// Run `app` on every CPU of `machine`, placed Uniform: set-up, one
+/// untimed warm-up step, then `steps` measured steps, FEM at CFL 0.2.
+/// Returns the measured cycles and the machine. The insight campaign
+/// runs its cells through here too.
+pub fn run_app(machine: Machine, app: WorkloadApp, steps: usize) -> (u64, Machine) {
+    let rt = Runtime::new(machine);
+    let cpus = rt.machine.config().num_cpus();
+    let team = Team::place(rt.machine.config(), cpus, &Placement::Uniform);
+    let run = run_shared_app(app, rt, &team, steps, 0.2, &CancelToken::new())
+        .expect("an uncancelled shared-memory run finishes");
+    (run.totals.cycles, run.rt.machine)
+}
+
 /// Run one application for `steps` measured steps (after one untimed
 /// warm-up step) on a machine of `hypernodes` nodes under `kind`,
 /// using every CPU.
-pub fn run_cell(kind: ProtocolKind, hypernodes: usize, app: &'static str, steps: usize) -> Cell {
+pub fn run_cell(kind: ProtocolKind, hypernodes: usize, app: WorkloadApp, steps: usize) -> Cell {
     let machine = Machine::spp1000(hypernodes).with_protocol(kind);
-    let mut rt = Runtime::new(machine);
-    let team = Team::place(rt.machine.config(), 8 * hypernodes, &Placement::Uniform);
-    let mut cycles = 0u64;
-    match app {
-        "pic" => {
-            let mut sim = SharedPic::new(&mut rt, PicProblem::with_mesh(8, 8, 8), &team);
-            sim.step(&mut rt, &team); // warm-up
-            for _ in 0..steps {
-                cycles += sim.step(&mut rt, &team).elapsed;
-            }
-        }
-        "nbody" => {
-            let mut sim = SharedNbody::new(&mut rt, NbodyProblem::with_n(4096), &team);
-            sim.step(&mut rt, &team);
-            for _ in 0..steps {
-                cycles += sim.step(&mut rt, &team).0;
-            }
-        }
-        "fem" => {
-            let mut sim =
-                SharedFem::new(&mut rt, fem::structured(32, 32), Coding::ScatterAdd, &team);
-            sim.step(&mut rt, &team, 0.2);
-            for _ in 0..steps {
-                cycles += sim.step(&mut rt, &team, 0.2).0;
-            }
-        }
-        "ppm" => {
-            let mut sim = SharedPpm::new(&mut rt, PpmProblem::tiny(), &team);
-            sim.step(&mut rt, &team);
-            for _ in 0..steps {
-                cycles += sim.step(&mut rt, &team).0;
-            }
-        }
-        other => panic!("unknown app {other:?}"),
-    }
+    let (cycles, m) = run_app(machine, app, steps);
     Cell {
         protocol: kind.label(),
         hypernodes,
         cpus: 8 * hypernodes,
-        app,
+        app: app.label(),
         cycles,
-        stats: rt.machine.stats,
-        footprint: rt.machine.coherence_footprint(),
-        cached: rt.machine.cached_lines(),
+        stats: m.stats,
+        footprint: m.coherence_footprint(),
+        cached: m.cached_lines(),
     }
 }
 
@@ -270,7 +256,7 @@ mod tests {
     use super::*;
 
     fn quick(kind: ProtocolKind, h: usize) -> Cell {
-        run_cell(kind, h, "fem", 1)
+        run_cell(kind, h, APPS[2], 1)
     }
 
     #[test]
@@ -318,7 +304,7 @@ mod tests {
     #[test]
     fn cells_run_at_256_cpus_under_every_protocol() {
         for kind in ProtocolKind::ALL {
-            let c = run_cell(kind, 32, "nbody", 1);
+            let c = run_cell(kind, 32, APPS[1], 1);
             assert_eq!(c.cpus, 256);
             assert!(c.cycles > 0);
             assert!(c.stats.miss_partition_check(), "{kind}");
@@ -332,11 +318,15 @@ mod tests {
         let cells: Vec<Cell> = ProtocolKind::ALL.map(|k| quick(k, 2)).to_vec();
         let again: Vec<Cell> = ProtocolKind::ALL.map(|k| quick(k, 2)).to_vec();
         assert_eq!(to_json(&cells, 1), to_json(&again, 1));
-        let json = to_json(&cells, 1);
-        assert!(json.contains("\"experiment\": \"protocol\""));
-        assert!(json.contains("\"footprint_lines\""));
-        for k in ProtocolKind::ALL {
-            assert!(json.contains(k.label()), "{json}");
+        let doc = crate::parse_report(&to_json(&cells, 1));
+        assert_eq!(doc.str_field("experiment"), Some("protocol"));
+        let rows = crate::report_array(&doc, "cells");
+        assert_eq!(rows.len(), cells.len());
+        for (row, (c, k)) in rows.iter().zip(cells.iter().zip(ProtocolKind::ALL)) {
+            assert_eq!(row.str_field("protocol"), Some(k.label()));
+            assert_eq!(row.str_field("app"), Some("fem"));
+            assert_eq!(row.int_field("cycles"), Some(c.cycles as i64));
+            assert_eq!(row.int_field("footprint_lines"), Some(c.footprint as i64));
         }
     }
 }

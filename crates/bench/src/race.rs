@@ -16,46 +16,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+pub use crate::chaos::Workload;
 use crate::{emit, Opts, Table};
-use fem::{Coding, SharedFem};
-use nbody::{NbodyProblem, SharedNbody};
-use pic::{PicProblem, SharedPic};
-use ppm::{PpmProblem, SharedPpm};
 use proptest::racy;
-use spp_core::panic_message;
-use spp_core::{Machine, MemStats, RaceReport};
-use spp_runtime::{Placement, Runtime, SchedulePolicy, Team};
-
-/// The applications the campaign sweeps (all four shared-memory
-/// codes, at the chaos-campaign sizes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Particle-in-cell (8x8x8 mesh, 8 CPUs, 2 nodes).
-    Pic,
-    /// N-body tree code (1024 bodies, 8 CPUs, 2 nodes).
-    Nbody,
-    /// FEM, scatter-add coding (32x32 structured mesh, 8 CPUs).
-    Fem,
-    /// PPM hydrodynamics (24x48 grid, 2x4 tiles, 8 CPUs).
-    Ppm,
-}
-
-impl Workload {
-    /// Short stable label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Workload::Pic => "pic",
-            Workload::Nbody => "nbody",
-            Workload::Fem => "fem",
-            Workload::Ppm => "ppm",
-        }
-    }
-
-    /// Every workload, in campaign order.
-    pub fn all() -> [Workload; 4] {
-        [Workload::Pic, Workload::Nbody, Workload::Fem, Workload::Ppm]
-    }
-}
+use spp_core::{json_escape, panic_message, Machine, MemStats, RaceReport};
+use spp_runtime::{Runtime, SchedulePolicy};
+use spp_scenario::SharedApp;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -169,27 +135,20 @@ pub fn run_app(
     if detect {
         m = m.with_race_detection();
     }
-    let mut rt = Runtime::new(m).with_schedule(policy.clone());
+    let run = w.run(Runtime::new(m).with_schedule(policy.clone()), steps);
+    let t = run.totals;
     let mut h = FNV_OFFSET;
-    match w {
-        Workload::Pic => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
-            let mut sim = SharedPic::new(&mut rt, PicProblem::with_mesh(8, 8, 8), &team);
-            sim.step(&mut rt, &team); // warm-up
-            let rep = sim.run(&mut rt, &team, steps);
+    match &run.app {
+        SharedApp::Pic(sim) => {
             let (x, y, z) = sim.positions();
             let (vx, vy, vz) = sim.velocities();
             for s in [x, y, z, vx, vy, vz] {
                 fnv_f64s(&mut h, s);
             }
             fnv(&mut h, sim.field_energy().to_bits());
-            fnv(&mut h, rep.flops);
+            fnv(&mut h, t.flops);
         }
-        Workload::Nbody => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
-            let mut sim = SharedNbody::new(&mut rt, NbodyProblem::with_n(1024), &team);
-            sim.step(&mut rt, &team);
-            let rep = sim.run(&mut rt, &team, steps);
+        SharedApp::Nbody(sim) => {
             let b = sim.bodies();
             for s in [&b.x, &b.y, &b.z, &b.vx, &b.vy, &b.vz, &b.m] {
                 fnv_f64s(&mut h, s);
@@ -198,30 +157,20 @@ pub fn run_app(
             for s in [ax, ay, az] {
                 fnv_f64s(&mut h, s);
             }
-            fnv(&mut h, rep.flops);
-            fnv(&mut h, rep.interactions);
+            fnv(&mut h, t.flops);
+            fnv(&mut h, t.interactions);
         }
-        Workload::Fem => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::HighLocality);
-            let mut sim =
-                SharedFem::new(&mut rt, fem::structured(32, 32), Coding::ScatterAdd, &team);
-            sim.step(&mut rt, &team, 0.3);
-            let rep = sim.run(&mut rt, &team, 0.3, steps);
+        SharedApp::Fem(sim) => {
             let s = sim.state();
             for a in [&s.rho, &s.mu, &s.mv, &s.e] {
                 fnv_f64s(&mut h, a);
             }
-            fnv(&mut h, rep.point_updates);
+            fnv(&mut h, t.point_updates);
         }
-        Workload::Ppm => {
-            let p = PpmProblem::tiny();
-            let (nx, ny) = (p.nx, p.ny);
-            let team = Team::place(rt.machine.config(), 8, &Placement::HighLocality);
-            let mut sim = SharedPpm::new(&mut rt, p, &team);
-            sim.step(&mut rt, &team);
-            let rep = sim.run(&mut rt, &team, steps);
-            for y in 0..ny {
-                for x in 0..nx {
+        SharedApp::Ppm(sim) => {
+            let p = &sim.problem;
+            for y in 0..p.ny {
+                for x in 0..p.nx {
                     let q = sim.prim(x, y);
                     for v in [q.rho, q.u, q.v, q.p] {
                         fnv(&mut h, v.to_bits());
@@ -229,15 +178,16 @@ pub fn run_app(
                 }
             }
             fnv(&mut h, sim.total_mass().to_bits());
-            fnv(&mut h, rep.flops);
+            fnv(&mut h, t.flops);
         }
     }
+    let m = &run.rt.machine;
     (
         Outcome {
             digest: h,
-            stats: rt.machine.stats,
+            stats: m.stats,
         },
-        rt.machine.race_report(),
+        m.race_report(),
     )
 }
 
@@ -689,16 +639,11 @@ impl Campaign {
             let divergent = a
                 .divergent
                 .iter()
-                .map(|d| format!("\"{d}\""))
+                .map(|d| format!("\"{}\"", json_escape(d)))
                 .collect::<Vec<_>>()
                 .join(", ");
             let failure = match &a.failure {
-                Some(msg) => format!(
-                    ", \"failure\": \"{}\"",
-                    msg.replace('\\', "\\\\")
-                        .replace('"', "\\\"")
-                        .replace('\n', " ")
-                ),
+                Some(msg) => format!(", \"failure\": \"{}\"", json_escape(msg)),
                 None => String::new(),
             };
             out.push_str(&format!(
@@ -777,12 +722,6 @@ pub fn campaign(o: &Opts) -> Campaign {
     }
 }
 
-/// The report directory (`target/repro`, or `SPP_REPRO_DIR`); now the
-/// crate-wide [`crate::repro_dir`], kept here for compatibility.
-pub fn repro_dir() -> std::path::PathBuf {
-    crate::repro_dir()
-}
-
 /// Experiment entry point (`spp repro race`, and the `race` row of
 /// `spp repro all`). Writes `BENCH_race.json` (plus `race_repro.json`
 /// when a reproducer was shrunk) so a `spp repro all` sweep leaves the
@@ -790,7 +729,7 @@ pub fn repro_dir() -> std::path::PathBuf {
 /// campaign fails so the harness records a FAIL.
 pub fn run(o: &Opts) -> String {
     let c = campaign(o);
-    let report = match c.write_report(&repro_dir()) {
+    let report = match c.write_report(&crate::repro_dir()) {
         Ok(json) => format!("[report written to {}]", json.display()),
         Err(e) => format!("[could not write report: {e}]"),
     };
@@ -853,9 +792,8 @@ mod tests {
         assert!(a.divergent.is_empty(), "ppm diverged: {:?}", a.divergent);
     }
 
-    #[test]
-    fn repro_json_has_the_replay_fields() {
-        let r = MinimalRepro {
+    fn repro() -> MinimalRepro {
+        MinimalRepro {
             kernel: "racy-sum",
             nvalues: 4,
             values_seed: 9,
@@ -863,10 +801,59 @@ mod tests {
             schedule: vec![1, 0],
             identity_bits: 1,
             permuted_bits: 2,
+        }
+    }
+
+    #[test]
+    fn repro_json_has_the_replay_fields() {
+        let doc = crate::parse_report(&repro().to_json());
+        assert_eq!(doc.str_field("kernel"), Some("racy-sum"));
+        assert_eq!(doc.int_field("threads"), Some(2));
+        assert_eq!(doc.int_field("values_seed"), Some(9));
+        let sched: Vec<_> = crate::report_array(&doc, "schedule")
+            .iter()
+            .map(|t| t.as_int())
+            .collect();
+        assert_eq!(sched, [Some(1), Some(0)]);
+    }
+
+    #[test]
+    fn campaign_json_parses_with_control_characters_in_a_failure() {
+        let msg = "panicked \"here\"\tat\u{1} line\r\nC:\\path";
+        let failed = AppResult {
+            workload: Workload::Ppm,
+            races: 0,
+            warnings: 0,
+            regions: 0,
+            accesses: 0,
+            schedules: 8,
+            divergent: vec!["reversed: final state/results digest differs".to_string()],
+            max_drift: 0,
+            drift_limit: 64,
+            failure: Some(msg.to_string()),
         };
-        let j = r.to_json();
-        assert!(j.contains("\"threads\": 2"));
-        assert!(j.contains("\"schedule\": [1, 0]"));
-        assert!(j.contains("\"values_seed\": 9"));
+        let c = Campaign {
+            apps: vec![failed],
+            control: ControlResult {
+                races: 3,
+                flagged_array: true,
+                diverged: vec!["reversed".to_string()],
+                repro: Some(repro()),
+                replay_ok: true,
+                failure: None,
+            },
+            steps: 1,
+            full: false,
+        };
+        let doc = crate::parse_report(&c.to_json());
+        assert_eq!(doc.str_field("experiment"), Some("race"));
+        assert_eq!(doc.bool_field("passed"), Some(false));
+        let app = &crate::report_array(&doc, "apps")[0];
+        assert_eq!(app.str_field("workload"), Some("ppm"));
+        assert_eq!(app.str_field("failure"), Some(msg));
+        assert_eq!(crate::report_array(app, "divergent").len(), 1);
+        let control = doc.get("control").expect("control object");
+        assert_eq!(control.bool_field("pass"), Some(true));
+        assert_eq!(control.int_field("repro_threads"), Some(2));
     }
 }

@@ -15,16 +15,15 @@
 //! `spp repro recovery` under `target/repro`, or
 //! `SPP_REPRO_DIR`), integers only so two runs diff byte-for-byte.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::chaos::{shrink, Workload};
+use crate::chaos::{joined_events, json_events, shrink, Workload};
 use crate::{emit, Opts, Table};
-use fem::{Coding, SharedFem};
-use nbody::{NbodyProblem, SharedNbody};
-use pic::{PicProblem, SharedPic};
-use spp_core::panic_message;
-use spp_core::{Cycles, FaultEvent, FaultPlan, Machine, MemStats, ProtocolKind};
-use spp_runtime::{Placement, Runtime, Team};
+use spp_core::{
+    json_escape, panic_message, Cycles, FaultEvent, FaultPlan, Machine, MemStats, ProtocolKind,
+};
+use spp_runtime::Runtime;
 
 /// Probability of each transient kind at standard intensity.
 pub const STANDARD_PROB: f64 = 0.05;
@@ -64,33 +63,13 @@ fn workload_run(
     if let Some(p) = plan {
         m = m.with_faults(p);
     }
-    let mut rt = Runtime::new(m);
-    let elapsed = match w {
-        Workload::Pic => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
-            let mut sim = SharedPic::new(&mut rt, PicProblem::with_mesh(8, 8, 8), &team);
-            sim.step(&mut rt, &team); // warm-up
-            sim.run(&mut rt, &team, steps).elapsed
-        }
-        Workload::Nbody => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
-            let mut sim = SharedNbody::new(&mut rt, NbodyProblem::with_n(1024), &team);
-            sim.step(&mut rt, &team);
-            sim.run(&mut rt, &team, steps).elapsed
-        }
-        Workload::Fem => {
-            let team = Team::place(rt.machine.config(), 8, &Placement::HighLocality);
-            let mut sim =
-                SharedFem::new(&mut rt, fem::structured(32, 32), Coding::ScatterAdd, &team);
-            sim.step(&mut rt, &team, 0.3);
-            sim.run(&mut rt, &team, 0.3, steps).elapsed
-        }
-    };
+    let run = w.run(Runtime::new(m), steps);
+    let m = &run.rt.machine;
     RunSignature {
-        elapsed,
-        clock: rt.machine.clock(),
-        digest: rt.machine.coherence_digest(),
-        stats: rt.machine.stats,
+        elapsed: run.totals.cycles,
+        clock: m.clock(),
+        digest: m.coherence_digest(),
+        stats: m.stats,
     }
 }
 
@@ -207,7 +186,7 @@ fn cell(w: Workload, proto: ProtocolKind, event: FaultEvent) -> Cell {
 /// application so each workload appears; `full` crosses every pair
 /// with every workload and adds a high-intensity sweep.
 pub fn default_grid(full: bool) -> Vec<Cell> {
-    const APPS: [Workload; 3] = [Workload::Pic, Workload::Nbody, Workload::Fem];
+    const APPS: [Workload; 3] = Workload::FAULTED;
     let mut cells = Vec::new();
     if full {
         for proto in ProtocolKind::ALL {
@@ -249,21 +228,13 @@ pub struct Campaign {
 /// Run the campaign over `cells`, caching one fault-free baseline per
 /// (workload, protocol) pair.
 pub fn run_campaign(cells: &[Cell], steps: usize, full: bool) -> Campaign {
-    let mut baselines: Vec<((Workload, ProtocolKind), RunSignature)> = Vec::new();
-    let mut baseline_for = |w: Workload, p: ProtocolKind| -> RunSignature {
-        match baselines.iter().find(|(k, _)| *k == (w, p)) {
-            Some((_, b)) => *b,
-            None => {
-                let b = workload_run(w, p, None, steps);
-                baselines.push(((w, p), b));
-                b
-            }
-        }
-    };
+    let mut baselines = HashMap::new();
     let results = cells
         .iter()
         .map(|c| {
-            let baseline = baseline_for(c.workload, c.protocol);
+            let baseline = *baselines
+                .entry((c.workload, c.protocol))
+                .or_insert_with(|| workload_run(c.workload, c.protocol, None, steps));
             match check_cell(c, &baseline, steps) {
                 Ok(stats) if stats.recoveries == 0 => CellResult {
                     cell: c.clone(),
@@ -351,11 +322,7 @@ impl Campaign {
                     o.retries.to_string(),
                 ]),
                 (_, Some(msg)) => {
-                    let shrunk = r
-                        .shrunk
-                        .as_ref()
-                        .map(|ev| ev.iter().map(|e| e.desc()).collect::<Vec<_>>().join(" + "))
-                        .unwrap_or_default();
+                    let shrunk = joined_events(r.shrunk.as_deref().unwrap_or_default());
                     t.row(vec![
                         r.cell.workload.label().to_string(),
                         r.cell.protocol.label().to_string(),
@@ -392,13 +359,7 @@ impl Campaign {
         out.push_str("  \"grid\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
-            let events = r
-                .cell
-                .events
-                .iter()
-                .map(|e| format!("\"{}\"", e.desc()))
-                .collect::<Vec<_>>()
-                .join(", ");
+            let events = json_events(&r.cell.events);
             let head = format!(
                 "\"workload\": \"{}\", \"protocol\": \"{}\", \"seed\": {}, \"events\": [{events}]",
                 r.cell.workload.label(),
@@ -412,23 +373,8 @@ impl Campaign {
                     o.elapsed, o.recoveries, o.retries
                 )),
                 None => {
-                    let msg = r
-                        .failure
-                        .as_deref()
-                        .unwrap_or("")
-                        .replace('\\', "\\\\")
-                        .replace('"', "\\\"")
-                        .replace('\n', " ");
-                    let shrunk = r
-                        .shrunk
-                        .as_ref()
-                        .map(|ev| {
-                            ev.iter()
-                                .map(|e| format!("\"{}\"", e.desc()))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        })
-                        .unwrap_or_default();
+                    let msg = json_escape(r.failure.as_deref().unwrap_or(""));
+                    let shrunk = json_events(r.shrunk.as_deref().unwrap_or_default());
                     out.push_str(&format!(
                         "    {{{head}, \"pass\": false, \"failure\": \"{msg}\", \
                          \"reproducer\": [{shrunk}]}}{comma}\n",
@@ -559,9 +505,41 @@ mod tests {
             }
         };
         assert!(!campaign.passed());
-        let j = campaign.to_json();
-        assert!(j.contains("\"pass\": false"), "{j}");
-        assert!(j.contains("\"reproducer\": []"), "{j}");
+        let doc = crate::parse_report(&campaign.to_json());
+        assert_eq!(doc.bool_field("passed"), Some(false));
+        let row = &crate::report_array(&doc, "grid")[0];
+        assert_eq!(row.bool_field("pass"), Some(false));
+        assert!(row
+            .str_field("failure")
+            .is_some_and(|m| m.contains("digest")));
+        assert!(crate::report_array(row, "reproducer").is_empty());
+    }
+
+    #[test]
+    fn control_characters_in_a_failure_message_stay_valid_json() {
+        let msg = "scrub \"gave up\"\tat\u{1} line\r\nC:\\path";
+        let c = cell(
+            Workload::Nbody,
+            ProtocolKind::Dragon,
+            FaultEvent::UpdateLoss {
+                prob: STANDARD_PROB,
+            },
+        );
+        let campaign = Campaign {
+            results: vec![CellResult {
+                shrunk: Some(c.events.clone()),
+                cell: c,
+                outcome: None,
+                failure: Some(msg.to_string()),
+            }],
+            steps: 1,
+            full: false,
+        };
+        let doc = crate::parse_report(&campaign.to_json());
+        let row = &crate::report_array(&doc, "grid")[0];
+        assert_eq!(row.str_field("failure"), Some(msg));
+        assert_eq!(row.str_field("workload"), Some("nbody"));
+        assert_eq!(crate::report_array(row, "reproducer").len(), 2);
     }
 
     #[test]
@@ -575,6 +553,14 @@ mod tests {
         assert!(a.passed(), "{}", a.render());
         let b = run_campaign(&cells, 1, false);
         assert_eq!(a.to_json(), b.to_json());
+        let doc = crate::parse_report(&a.to_json());
+        assert_eq!(doc.str_field("experiment"), Some("recovery"));
+        assert_eq!(doc.bool_field("passed"), Some(true));
+        let grid = crate::report_array(&doc, "grid");
+        assert_eq!(grid.len(), cells.len());
+        assert!(grid
+            .iter()
+            .all(|r| r.int_field("recoveries").is_some_and(|n| n > 0)));
         // No bare floats outside the quoted event descriptions.
         for line in a.to_json().lines() {
             let mut outside = String::new();

@@ -429,13 +429,17 @@ mod tests {
             deterministic: true,
             overhead: overhead_study(1),
         };
-        let j = to_json(&rep, 1);
-        assert!(j.contains("\"passed\": true"), "{j}");
-        assert!(j.contains("\"miss-sci\""), "{j}");
         let dir = std::env::temp_dir().join("spp-trace-report-test");
         let json = write_report(&rep, 1, &dir).unwrap();
         assert!(json.ends_with("BENCH_trace.json"));
-        assert!(dir.join("trace_timeline.json").exists());
+        let doc = crate::parse_report(&std::fs::read_to_string(&json).unwrap());
+        assert_eq!(doc.str_field("experiment"), Some("trace"));
+        assert_eq!(doc.bool_field("passed"), Some(true));
+        let overhead = doc.get("overhead").expect("overhead object");
+        assert_eq!(overhead.bool_field("cycles_identical"), Some(true));
+        let run = &crate::report_array(&doc, "workloads")[0];
+        assert!(run.get("counts").and_then(|c| c.int_field("miss-sci")) > Some(0));
+        crate::parse_report(&std::fs::read_to_string(dir.join("trace_timeline.json")).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

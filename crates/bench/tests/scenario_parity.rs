@@ -2,10 +2,16 @@
 //! `spp repro <id>`) dispatches to exactly the experiment module's
 //! own `run` function, so its report text is bit-identical to a
 //! direct module invocation — checked here on the cheap experiments.
+//! Workload parity: a protocol- or insight-campaign cell is the run of
+//! the matching `WorkloadSpec` cell.
 
 use spp_bench::scenario_cli::registry;
-use spp_bench::Opts;
-use spp_scenario::{run_fleet, FleetConfig, ScenarioSpec, Status};
+use spp_bench::{insight, protocol, Opts};
+use spp_core::{CancelToken, ProtocolKind};
+use spp_scenario::{
+    run_fleet, run_workload, FleetConfig, PlacementPolicy, ScenarioKind, ScenarioSpec, Status,
+    WorkloadApp,
+};
 
 fn opts(steps: usize) -> Opts {
     Opts { full: false, steps }
@@ -75,4 +81,37 @@ fn an_unknown_experiment_id_is_a_contained_failure() {
         Status::Fail { error } => assert!(error.contains("no-such-experiment"), "{error}"),
         other => panic!("expected contained failure, got {other:?}"),
     }
+}
+
+#[test]
+fn protocol_and_insight_cells_match_their_workload_spec_cells() {
+    let pic = WorkloadApp::Pic { mesh: (8, 8, 8) };
+    assert_eq!(protocol::APPS[0], pic);
+    assert_eq!(insight::APPS[0], pic);
+    let ScenarioKind::Workload(mut spec) = ScenarioSpec::workload("pic-parity", pic).kind else {
+        unreachable!()
+    };
+    spec.hypernodes = 2;
+    spec.threads = 16;
+    spec.steps = 1;
+    spec.protocol = ProtocolKind::DashSci;
+    spec.placement = PlacementPolicy::Uniform;
+    let want = run_workload(&spec, &CancelToken::new(), None).expect("spec cell runs");
+    assert!(want.cycles > 0);
+
+    let cell = protocol::run_cell(ProtocolKind::DashSci, 2, pic, 1);
+    assert_eq!(cell.cycles, want.cycles, "protocol cell cycles");
+    assert_eq!(cell.stats, want.stats, "protocol cell MemStats");
+
+    // Insight's plain twin: the cell's own run with no heatmap mounted.
+    let plain = spp_core::Machine::spp1000(2).with_protocol(ProtocolKind::DashSci);
+    let (cycles, m) = protocol::run_app(plain, insight::APPS[0], 1);
+    assert_eq!(cycles, want.cycles, "insight plain-twin cycles");
+    assert_eq!(m.stats, want.stats, "insight plain-twin MemStats");
+    let attributed = insight::run_cell(ProtocolKind::DashSci, insight::APPS[0], 1);
+    assert!(attributed.transparent);
+    assert_eq!(
+        (attributed.cycles, attributed.stats),
+        (want.cycles, want.stats)
+    );
 }

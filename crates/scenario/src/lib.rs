@@ -52,4 +52,7 @@ pub use spec::{
     ScenarioKind, ScenarioSpec, SchedulePolicySpec, SpecError, WorkloadApp, WorkloadSpec,
     SPEC_SCHEMA,
 };
-pub use workload::{run_builtin, run_workload, CheckpointPaths, WorkloadOutcome};
+pub use workload::{
+    run_builtin, run_shared_app, run_workload, CheckpointPaths, SharedApp, SharedRun, StepTotals,
+    WorkloadOutcome,
+};

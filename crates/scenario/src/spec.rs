@@ -110,7 +110,7 @@ impl ExperimentOpts {
 }
 
 /// The applications a workload-kind scenario can run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadApp {
     /// Shared-memory particle-in-cell on an `nx × ny × nz` mesh.
     Pic {

@@ -170,74 +170,147 @@ pub fn run_builtin(op: &BuiltinOp, cancel: &CancelToken) -> Result<(), String> {
     }
 }
 
+/// One of the four shared-memory applications, set up on a runtime by
+/// [`run_shared_app`] and handed back with the run for inspection.
+/// Boxed: the application structs differ in size by a kilobyte.
+pub enum SharedApp {
+    /// Particle-in-cell.
+    Pic(Box<SharedPic>),
+    /// N-body tree code.
+    Nbody(Box<SharedNbody>),
+    /// Finite elements, scatter-add coding.
+    Fem(Box<SharedFem>),
+    /// PPM gas dynamics (the tiny problem).
+    Ppm(Box<SharedPpm>),
+}
+
+/// Totals over the measured steps of a [`run_shared_app`] run. A
+/// counter an application does not keep stays zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepTotals {
+    /// Elapsed simulated cycles.
+    pub cycles: u64,
+    /// Flops (PIC, N-body, PPM).
+    pub flops: u64,
+    /// Body-node interactions (N-body).
+    pub interactions: u64,
+    /// Point updates (FEM).
+    pub point_updates: u64,
+}
+
+impl SharedApp {
+    fn new(rt: &mut Runtime, app: WorkloadApp, team: &Team) -> Result<Self, String> {
+        Ok(match app {
+            WorkloadApp::Pic { mesh } => SharedApp::Pic(Box::new(SharedPic::new(
+                rt,
+                PicProblem::with_mesh(mesh.0, mesh.1, mesh.2),
+                team,
+            ))),
+            WorkloadApp::Nbody { bodies } => SharedApp::Nbody(Box::new(SharedNbody::new(
+                rt,
+                NbodyProblem::with_n(bodies),
+                team,
+            ))),
+            WorkloadApp::Fem { nx, ny } => SharedApp::Fem(Box::new(SharedFem::new(
+                rt,
+                fem::structured(nx, ny),
+                Coding::ScatterAdd,
+                team,
+            ))),
+            WorkloadApp::Ppm => {
+                SharedApp::Ppm(Box::new(SharedPpm::new(rt, PpmProblem::tiny(), team)))
+            }
+            WorkloadApp::PicPvm { .. } | WorkloadApp::KernelStream { .. } => {
+                return Err(format!(
+                    "{} is not a shared-memory application",
+                    app.label()
+                ))
+            }
+        })
+    }
+
+    fn step(&mut self, rt: &mut Runtime, team: &Team, fem_cfl: f64) -> StepTotals {
+        let mut t = StepTotals::default();
+        match self {
+            SharedApp::Pic(sim) => {
+                let r = sim.step(rt, team);
+                (t.cycles, t.flops) = (r.elapsed, r.flops);
+            }
+            SharedApp::Nbody(sim) => (t.cycles, t.flops, t.interactions) = sim.step(rt, team),
+            SharedApp::Fem(sim) => (t.cycles, t.point_updates) = sim.step(rt, team, fem_cfl),
+            SharedApp::Ppm(sim) => (t.cycles, t.flops) = sim.step(rt, team),
+        }
+        t
+    }
+}
+
+/// A finished [`run_shared_app`] run.
+pub struct SharedRun {
+    /// The runtime, machine included, after the last step.
+    pub rt: Runtime,
+    /// The application after the last step.
+    pub app: SharedApp,
+    /// Totals over the measured steps (the warm-up step excluded).
+    pub totals: StepTotals,
+}
+
+/// The one runner of the four shared-memory applications: set `app`
+/// up on the caller's runtime and team, run one untimed warm-up step,
+/// then `steps` measured steps, and hand the runtime and application
+/// back. FEM steps at `fem_cfl`. Before each measured step the runner
+/// publishes the machine clock to `cancel` and returns an error if
+/// the run was cancelled; a PVM or kernel-stream `app` is an error.
+///
+/// Spec cells ([`run_workload`]) and the `spp-bench` campaigns all
+/// run through here, so a campaign cell and the matching spec cell
+/// are the same run.
+pub fn run_shared_app(
+    app: WorkloadApp,
+    mut rt: Runtime,
+    team: &Team,
+    steps: usize,
+    fem_cfl: f64,
+    cancel: &CancelToken,
+) -> Result<SharedRun, String> {
+    let mut sim = SharedApp::new(&mut rt, app, team)?;
+    sim.step(&mut rt, team, fem_cfl); // warm-up
+    let mut totals = StepTotals::default();
+    for _ in 0..steps {
+        cancel.note_progress(rt.machine.clock());
+        if cancel.is_cancelled() {
+            return cancelled();
+        }
+        let t = sim.step(&mut rt, team, fem_cfl);
+        totals.cycles += t.cycles;
+        totals.flops += t.flops;
+        totals.interactions += t.interactions;
+        totals.point_updates += t.point_updates;
+    }
+    Ok(SharedRun {
+        rt,
+        app: sim,
+        totals,
+    })
+}
+
+/// The CFL number spec cells step FEM at.
+const SPEC_FEM_CFL: f64 = 0.2;
+
 fn shared_app(spec: &WorkloadSpec, cancel: &CancelToken) -> Result<WorkloadOutcome, String> {
-    let mut rt = Runtime::new(build_machine(spec)).with_schedule(schedule(spec.schedule));
+    let rt = Runtime::new(build_machine(spec)).with_schedule(schedule(spec.schedule));
     let team = Team::try_place(
         rt.machine.config(),
         spec.threads,
         &placement(spec.placement),
     )
     .map_err(|e| e.to_string())?;
-
-    let mut cycles: u64 = 0;
-    match spec.app {
-        WorkloadApp::Pic { mesh } => {
-            let mut app = SharedPic::new(
-                &mut rt,
-                PicProblem::with_mesh(mesh.0, mesh.1, mesh.2),
-                &team,
-            );
-            app.step(&mut rt, &team); // warm-up
-            for _ in 0..spec.steps {
-                cancel.note_progress(rt.machine.clock());
-                if cancel.is_cancelled() {
-                    return cancelled();
-                }
-                cycles += app.step(&mut rt, &team).elapsed;
-            }
-        }
-        WorkloadApp::Nbody { bodies } => {
-            let mut app = SharedNbody::new(&mut rt, NbodyProblem::with_n(bodies), &team);
-            app.step(&mut rt, &team);
-            for _ in 0..spec.steps {
-                cancel.note_progress(rt.machine.clock());
-                if cancel.is_cancelled() {
-                    return cancelled();
-                }
-                cycles += app.step(&mut rt, &team).0;
-            }
-        }
-        WorkloadApp::Fem { nx, ny } => {
-            let mut app =
-                SharedFem::new(&mut rt, fem::structured(nx, ny), Coding::ScatterAdd, &team);
-            app.step(&mut rt, &team, 0.2);
-            for _ in 0..spec.steps {
-                cancel.note_progress(rt.machine.clock());
-                if cancel.is_cancelled() {
-                    return cancelled();
-                }
-                cycles += app.step(&mut rt, &team, 0.2).0;
-            }
-        }
-        WorkloadApp::Ppm => {
-            let mut app = SharedPpm::new(&mut rt, PpmProblem::tiny(), &team);
-            app.step(&mut rt, &team);
-            for _ in 0..spec.steps {
-                cancel.note_progress(rt.machine.clock());
-                if cancel.is_cancelled() {
-                    return cancelled();
-                }
-                cycles += app.step(&mut rt, &team).0;
-            }
-        }
-        WorkloadApp::PicPvm { .. } | WorkloadApp::KernelStream { .. } => unreachable!(),
-    }
-
-    cancel.note_progress(rt.machine.clock());
-    check_insight(spec, &rt.machine)?;
+    let run = run_shared_app(spec.app, rt, &team, spec.steps, SPEC_FEM_CFL, cancel)?;
+    let m = &run.rt.machine;
+    cancel.note_progress(m.clock());
+    check_insight(spec, m)?;
     Ok(WorkloadOutcome {
-        cycles,
-        stats: rt.machine.stats,
+        cycles: run.totals.cycles,
+        stats: m.stats,
         steps_run: spec.steps,
         resumed_from: None,
         checkpoints_written: 0,
