@@ -44,6 +44,12 @@ grep -q '"all_as_expected": true' target/repro/all/BENCH_scenarios.json
 test "$(grep -c '"status": "pass"' target/repro/all/BENCH_scenarios.json)" -eq 21
 echo "   target/repro/all/BENCH_scenarios.json OK (21 experiments pass)"
 
+echo "== faults report byte-check (standalone run = the repro-all report)"
+rm -rf target/repro/faults-check
+SPP_REPRO_DIR=target/repro/faults-check "$SPP" repro faults --steps 1 >/dev/null
+cmp target/repro/all/BENCH_faults.json target/repro/faults-check/BENCH_faults.json
+echo "   BENCH_faults.json byte-identical to target/repro/all/BENCH_faults.json"
+
 echo "== spp repro chaos smoke run (1 step, fixed-seed grid, checker on)"
 SPP_CHECK=1 "$SPP" repro chaos --steps 1 >/dev/null
 test -s target/repro/BENCH_chaos.json

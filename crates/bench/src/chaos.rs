@@ -14,12 +14,13 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::{emit, Opts, Table};
+use spp_core::json::Json;
 use spp_core::{
-    json_escape, panic_message, CancelToken, Cycles, FaultEvent, FaultPlan, Machine, ProtocolKind,
-    StallKind, Watchdog,
+    panic_message, CancelToken, Cycles, FaultEvent, FaultPlan, Machine, ProtocolKind, StallKind,
+    Watchdog,
 };
 use spp_runtime::{Placement, Runtime, Team};
-use spp_scenario::{run_shared_app, SharedRun, WorkloadApp};
+use spp_scenario::{report_head, run_shared_app, SharedRun, WorkloadApp};
 
 /// The campaign workloads: the four shared-memory applications on a
 /// 2-hypernode machine with 8 threads — PIC on an 8x8x8 mesh and
@@ -165,15 +166,6 @@ pub fn shrink<T: Clone>(items: &[T], mut fails: impl FnMut(&[T]) -> bool) -> Vec
     cur
 }
 
-/// `events` as the items of a JSON array of strings.
-pub(crate) fn json_events(events: &[FaultEvent]) -> String {
-    let items: Vec<String> = events
-        .iter()
-        .map(|e| format!("\"{}\"", json_escape(&e.desc())))
-        .collect();
-    items.join(", ")
-}
-
 /// `events` as one table cell.
 pub(crate) fn joined_events(events: &[FaultEvent]) -> String {
     let descs: Vec<String> = events.iter().map(FaultEvent::desc).collect();
@@ -283,69 +275,47 @@ impl Campaign {
 
     /// Machine-readable form (the `BENCH_chaos.json` ci.sh asserts on,
     /// following the `BENCH_*.json` convention).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {},\n  \"experiment\": \"chaos\",\n",
-            crate::BENCH_SCHEMA_VERSION
-        ));
-        out.push_str(&format!(
-            "  \"full\": {},\n  \"steps\": {},\n  \"cells\": {},\n  \"passed\": {},\n",
-            self.full,
-            self.steps,
-            self.results.len(),
-            self.passed()
-        ));
-        out.push_str("  \"grid\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let comma = if i + 1 < self.results.len() { "," } else { "" };
-            // Only non-default backends carry a protocol field, so the
-            // historical DASH+SCI rows keep their exact bytes.
-            let proto = match r.cell.protocol {
-                ProtocolKind::DashSci => String::new(),
-                p => format!("\"protocol\": \"{}\", ", p.label()),
-            };
-            let events = json_events(&r.cell.events);
-            match &r.stats {
-                Some(s) => out.push_str(&format!(
-                    "    {{\"workload\": \"{}\", {proto}\"seed\": {}, \"events\": [{events}], \
-                     \"pass\": true, \"elapsed\": {}, \"ring_stalls\": {}, \
-                     \"link_reroutes\": {}, \"dead_cpus\": {}, \"failed_rings\": {}, \
-                     \"degraded_nodes\": {}}}{comma}\n",
-                    r.cell.workload.label(),
-                    r.cell.seed,
-                    s.elapsed,
-                    s.ring_stalls,
-                    s.link_reroutes,
-                    s.dead_cpus,
-                    s.failed_rings,
-                    s.degraded_nodes
-                )),
-                None => {
-                    let msg = json_escape(r.failure.as_deref().unwrap_or(""));
-                    let shrunk = json_events(r.shrunk.as_deref().unwrap_or_default());
-                    out.push_str(&format!(
-                        "    {{\"workload\": \"{}\", {proto}\"seed\": {}, \"events\": [{events}], \
-                         \"pass\": false, \"failure\": \"{msg}\", \
-                         \"reproducer\": [{shrunk}]}}{comma}\n",
-                        r.cell.workload.label(),
-                        r.cell.seed,
-                    ));
+    pub fn to_json(&self) -> Json {
+        let grid: Json = self
+            .results
+            .iter()
+            .map(|r| {
+                let mut row = Json::obj().with("workload", r.cell.workload.label());
+                // Only non-default backends carry a protocol field, so
+                // the historical DASH+SCI rows keep their exact bytes.
+                if r.cell.protocol != ProtocolKind::DashSci {
+                    row.push("protocol", r.cell.protocol.label());
                 }
-            }
-        }
-        out.push_str("  ]\n}\n");
-        out
+                let row = row
+                    .with("seed", r.cell.seed)
+                    .with("events", descs(&r.cell.events))
+                    .with("pass", r.stats.is_some());
+                match &r.stats {
+                    Some(s) => row
+                        .with("elapsed", s.elapsed)
+                        .with("ring_stalls", s.ring_stalls)
+                        .with("link_reroutes", s.link_reroutes)
+                        .with("dead_cpus", s.dead_cpus)
+                        .with("failed_rings", s.failed_rings)
+                        .with("degraded_nodes", s.degraded_nodes),
+                    None => row
+                        .with("failure", r.failure.as_deref().unwrap_or(""))
+                        .with("reproducer", descs(r.shrunk.as_deref().unwrap_or_default())),
+                }
+            })
+            .collect();
+        report_head("chaos")
+            .with("full", self.full)
+            .with("steps", self.steps)
+            .with("cells", self.results.len())
+            .with("passed", self.passed())
+            .with("grid", grid)
     }
+}
 
-    /// Write `BENCH_chaos.json` under `dir` (created if needed).
-    /// Returns the JSON path.
-    pub fn write_report(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let json = dir.join("BENCH_chaos.json");
-        spp_core::atomic_write_str(&json, &self.to_json())?;
-        Ok(json)
-    }
+/// `events` as a JSON array of their descriptions.
+pub(crate) fn descs(events: &[FaultEvent]) -> Json {
+    events.iter().map(FaultEvent::desc).collect()
 }
 
 /// The event lists the grid layers onto each (workload, seed) pair.
@@ -494,10 +464,7 @@ pub fn campaign(o: &Opts) -> Campaign {
 /// the harness records a FAIL.
 pub fn run(o: &Opts) -> String {
     let c = campaign(o);
-    let report = match c.write_report(&crate::repro_dir()) {
-        Ok(json) => format!("[report written to {}]", json.display()),
-        Err(e) => format!("[could not write report: {e}]"),
-    };
+    let report = crate::write_bench("BENCH_chaos.json", &c.to_json());
     let text = emit(
         "repro-chaos: degraded-mode chaos campaign",
         &format!(
@@ -673,7 +640,7 @@ mod tests {
         ];
         let c = run_campaign(&cells, 1, false);
         assert!(c.passed(), "{}", c.render());
-        let j = c.to_json();
+        let j = c.to_json().report();
         // The default-backend row keeps its historical shape…
         assert!(j.contains("{\"workload\": \"pic\", \"seed\": 11"), "{j}");
         // …and the alternative backend is tagged.
@@ -728,6 +695,68 @@ mod tests {
         assert_eq!(row.str_field("failure"), Some(msg));
         assert_eq!(row.str_field("protocol"), Some("mesi"));
         assert_eq!(crate::report_array(row, "reproducer").len(), 1);
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let stats = CellStats {
+            elapsed: 1234,
+            ring_stalls: 5,
+            link_reroutes: 2,
+            dead_cpus: 1,
+            failed_rings: 0b0010,
+            degraded_nodes: 1 << 127,
+        };
+        let cell = |protocol, events: &[FaultEvent]| Cell {
+            workload: Workload::Nbody,
+            protocol,
+            seed: 7,
+            events: events.to_vec(),
+        };
+        let c = Campaign {
+            results: vec![
+                CellResult {
+                    cell: cell(ProtocolKind::DashSci, &short_events()[..2]),
+                    stats: Some(stats),
+                    failure: None,
+                    shrunk: None,
+                },
+                CellResult {
+                    cell: cell(ProtocolKind::Dragon, &[]),
+                    stats: Some(stats),
+                    failure: None,
+                    shrunk: None,
+                },
+                CellResult {
+                    cell: cell(ProtocolKind::Mesi, &short_events()[2..]),
+                    stats: None,
+                    failure: Some("bad \"x\"\n".to_string()),
+                    shrunk: Some(short_events()[3..].to_vec()),
+                },
+            ],
+            steps: 2,
+            full: true,
+        };
+        let expected = "{\n\
+            \x20 \"schema_version\": 1,\n\
+            \x20 \"experiment\": \"chaos\",\n\
+            \x20 \"full\": true,\n\
+            \x20 \"steps\": 2,\n\
+            \x20 \"cells\": 3,\n\
+            \x20 \"passed\": false,\n\
+            \x20 \"grid\": [\n\
+            \x20   {\"workload\": \"nbody\", \"seed\": 7, \"events\": [\"ring-stalls(p=0.02, 500cy)\", \"cpu-fail(cpu=2@100000)\"], \"pass\": true, \"elapsed\": 1234, \"ring_stalls\": 5, \"link_reroutes\": 2, \"dead_cpus\": 1, \"failed_rings\": 2, \"degraded_nodes\": 170141183460469231731687303715884105728},\n\
+            \x20   {\"workload\": \"nbody\", \"protocol\": \"dragon\", \"seed\": 7, \"events\": [], \"pass\": true, \"elapsed\": 1234, \"ring_stalls\": 5, \"link_reroutes\": 2, \"dead_cpus\": 1, \"failed_rings\": 2, \"degraded_nodes\": 170141183460469231731687303715884105728},\n\
+            \x20   {\"workload\": \"nbody\", \"protocol\": \"mesi\", \"seed\": 7, \"events\": [\"link-fail(ring=1@200000, +600cy)\", \"gcb-degrade(node=1@300000)\"], \"pass\": false, \"failure\": \"bad \\\"x\\\"\\n\", \"reproducer\": [\"gcb-degrade(node=1@300000)\"]}\n\
+            \x20 ]\n\
+            }\n";
+        assert_eq!(c.to_json().report(), expected);
+        let empty = Campaign {
+            results: Vec::new(),
+            steps: 1,
+            full: false,
+        };
+        assert!(empty.to_json().report().ends_with("\"grid\": [\n  ]\n}\n"));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::{emit, f, Opts, Table};
 use nbody::{NbodyProblem, SharedNbody};
 use pic::pvm::PvmPic;
 use pic::{PicProblem, SharedPic};
+use spp_core::json::Json;
 use spp_core::{CpuId, FaultPlan, Machine};
 use spp_pvm::Pvm;
 use spp_runtime::{Placement, Runtime, Team};
@@ -137,45 +138,23 @@ pub fn determinism_sweep(steps: usize) -> Vec<CaseResult> {
 /// Machine-readable form of the determinism sweep (the
 /// `BENCH_faults.json` that `spp repro faults` writes under
 /// `target/repro`, following the `BENCH_*.json` convention).
-pub fn to_json(cases: &[CaseResult], steps: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema_version\": {},\n  \"experiment\": \"faults\",\n",
-        crate::BENCH_SCHEMA_VERSION
-    ));
-    out.push_str(&format!(
-        "  \"steps\": {},\n  \"passed\": {},\n  \"cases\": [\n",
-        steps,
-        cases.iter().all(|c| c.identical())
-    ));
-    for (i, c) in cases.iter().enumerate() {
-        let comma = if i + 1 < cases.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"seed\": {}, \"identical\": {}, \
-             \"elapsed\": {}, \"ring_stalls\": {}, \"retries\": {}}}{comma}\n",
-            c.workload,
-            c.seed,
-            c.identical(),
-            c.a.elapsed,
-            c.a.ring_stalls,
-            c.a.retries
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_faults.json` under `dir` (created if needed). Returns
-/// the JSON path.
-pub fn write_report(
-    cases: &[CaseResult],
-    steps: usize,
-    dir: &std::path::Path,
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let json = dir.join("BENCH_faults.json");
-    spp_core::atomic_write_str(&json, &to_json(cases, steps))?;
-    Ok(json)
+pub fn to_json(cases: &[CaseResult], steps: usize) -> Json {
+    let rows: Json = cases
+        .iter()
+        .map(|c| {
+            Json::obj()
+                .with("workload", c.workload)
+                .with("seed", c.seed)
+                .with("identical", c.identical())
+                .with("elapsed", c.a.elapsed)
+                .with("ring_stalls", c.a.ring_stalls)
+                .with("retries", c.a.retries)
+        })
+        .collect();
+    spp_scenario::report_head("faults")
+        .with("steps", steps)
+        .with("passed", cases.iter().all(|c| c.identical()))
+        .with("cases", rows)
 }
 
 /// Regenerate the fault-injection reproducibility report. Writes
@@ -185,10 +164,11 @@ pub fn write_report(
 pub fn run(o: &Opts) -> String {
     let cases = determinism_sweep(o.steps);
     let mut text = report(o, &cases);
-    match write_report(&cases, o.steps, &crate::repro_dir()) {
-        Ok(json) => text.push_str(&format!("[report written to {}]\n", json.display())),
-        Err(e) => text.push_str(&format!("[could not write report: {e}]\n")),
-    }
+    text.push_str(&crate::write_bench(
+        "BENCH_faults.json",
+        &to_json(&cases, o.steps),
+    ));
+    text.push('\n');
     assert!(
         cases.iter().all(|c| c.identical()),
         "fault determinism sweep found a non-reproducible case"
@@ -293,6 +273,41 @@ mod tests {
     use super::*;
 
     #[test]
+    fn report_json_bytes_are_pinned() {
+        let run = |elapsed| FaultRun {
+            elapsed,
+            mflops: 1.5,
+            ring_stalls: 3,
+            retries: 4,
+        };
+        let cases = [
+            CaseResult {
+                workload: "PIC shared",
+                seed: 42,
+                a: run(100),
+                b: run(100),
+            },
+            CaseResult {
+                workload: "N-body shared",
+                seed: 43,
+                a: run(200),
+                b: run(201),
+            },
+        ];
+        let expected = "{\n\
+            \x20 \"schema_version\": 1,\n\
+            \x20 \"experiment\": \"faults\",\n\
+            \x20 \"steps\": 2,\n\
+            \x20 \"passed\": false,\n\
+            \x20 \"cases\": [\n\
+            \x20   {\"workload\": \"PIC shared\", \"seed\": 42, \"identical\": true, \"elapsed\": 100, \"ring_stalls\": 3, \"retries\": 4},\n\
+            \x20   {\"workload\": \"N-body shared\", \"seed\": 43, \"identical\": false, \"elapsed\": 200, \"ring_stalls\": 3, \"retries\": 4}\n\
+            \x20 ]\n\
+            }\n";
+        assert_eq!(to_json(&cases, 2).report(), expected);
+    }
+
+    #[test]
     fn same_fault_seed_is_bit_identical() {
         let a = pic_shared(FaultPlan::standard(42), 1);
         let b = pic_shared(FaultPlan::standard(42), 1);
@@ -334,9 +349,10 @@ mod tests {
             b: pic_shared(FaultPlan::standard(42), 1),
         }];
         let dir = std::env::temp_dir().join("spp-faults-report-test");
-        let json = write_report(&cases, 1, &dir).unwrap();
+        let json =
+            spp_scenario::write_report(&dir, "BENCH_faults.json", &to_json(&cases, 1)).unwrap();
         assert!(json.ends_with("BENCH_faults.json"));
-        let doc = crate::parse_report(&std::fs::read_to_string(&json).unwrap());
+        let doc = crate::parse_file(&json);
         assert_eq!(doc.str_field("experiment"), Some("faults"));
         assert_eq!(doc.bool_field("passed"), Some(true));
         let case = &crate::report_array(&doc, "cases")[0];

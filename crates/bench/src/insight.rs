@@ -18,6 +18,7 @@
 
 use crate::protocol::run_app;
 use crate::{emit, Opts, Table};
+use spp_core::json::Json;
 use spp_core::{heat_by_region, heat_report, Machine, MemStats, ProtocolKind};
 use spp_scenario::WorkloadApp;
 
@@ -70,6 +71,11 @@ pub struct Cell {
 /// Run one cell: the attributed run (heatmap + race detector mounted)
 /// plus a plain run for the transparency check.
 pub fn run_cell(kind: ProtocolKind, app: WorkloadApp, steps: usize) -> Cell {
+    attributed_cell(kind, app, steps).0
+}
+
+/// [`run_cell`], also handing back the attributed machine.
+fn attributed_cell(kind: ProtocolKind, app: WorkloadApp, steps: usize) -> (Cell, Machine) {
     let attributed_machine = Machine::spp1000(HYPERNODES)
         .with_protocol(kind)
         .with_heatmap()
@@ -94,7 +100,7 @@ pub fn run_cell(kind: ProtocolKind, app: WorkloadApp, steps: usize) -> Cell {
         .unwrap_or_else(|| ("?".to_string(), 0));
     let false_shared = regions.iter().map(|r| r.false_shared_lines).sum();
 
-    Cell {
+    let cell = Cell {
         protocol: kind.label(),
         app: app.label(),
         cycles,
@@ -107,18 +113,26 @@ pub fn run_cell(kind: ProtocolKind, app: WorkloadApp, steps: usize) -> Cell {
         hottest_region,
         false_shared,
         stats: m.stats,
-    }
+    };
+    (cell, m)
 }
 
-/// The full campaign: every application × every protocol.
-pub fn sweep(o: &Opts) -> Vec<Cell> {
+/// The full campaign: every application × every protocol, plus the
+/// full per-line heat report of the first cell (PIC on DASH+SCI) as a
+/// worked example.
+pub fn sweep(o: &Opts) -> (Vec<Cell>, String) {
     let mut cells = Vec::new();
+    let mut example = String::new();
     for kind in ProtocolKind::ALL {
         for app in APPS {
-            cells.push(run_cell(kind, app, o.steps));
+            let (cell, m) = attributed_cell(kind, app, o.steps);
+            if cells.is_empty() {
+                example = heat_report(&m, 5);
+            }
+            cells.push(cell);
         }
     }
-    cells
+    (cells, example)
 }
 
 /// True when every cell partitions and is transparent (the `"passed"`
@@ -133,61 +147,34 @@ pub fn passed(cells: &[Cell]) -> bool {
 /// byte-compares across a double run). Integers, strings, and bools
 /// only — no floats, no timestamps — so identical inputs serialize
 /// identically.
-pub fn to_json(cells: &[Cell], steps: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema_version\": {},\n  \"experiment\": \"insight\",\n",
-        crate::BENCH_SCHEMA_VERSION
-    ));
-    out.push_str(&format!(
-        "  \"steps\": {},\n  \"passed\": {},\n  \"cells\": [\n",
-        steps,
-        passed(cells)
-    ));
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"app\": \"{}\", \"cycles\": {}, \
-             \"clock\": {}, \"attributed_cycles\": {}, \"touched_lines\": {}, \
-             \"heat_partition_check\": {}, \"attribution_transparent\": {}, \
-             \"hottest_line\": {}, \"hottest_line_cycles\": {}, \
-             \"hottest_line_level\": \"{}\", \"hottest_region\": \"{}\", \
-             \"hottest_region_cycles\": {}, \"false_shared_lines\": {}, \
-             \"sci_fetches\": {}, \"c2c_transfers\": {}, \"upgrades\": {}}}{comma}\n",
-            c.protocol,
-            c.app,
-            c.cycles,
-            c.clock,
-            c.attributed,
-            c.touched_lines,
-            c.partition_ok,
-            c.transparent,
-            c.hottest_line.0,
-            c.hottest_line.1,
-            c.hottest_line.2,
-            c.hottest_region.0,
-            c.hottest_region.1,
-            c.false_shared,
-            c.stats.sci_fetches,
-            c.stats.c2c_transfers,
-            c.stats.upgrades,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_insight.json` under `dir` (created if needed).
-/// Returns the JSON path.
-pub fn write_report(
-    cells: &[Cell],
-    steps: usize,
-    dir: &std::path::Path,
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let json = dir.join("BENCH_insight.json");
-    spp_core::atomic_write_str(&json, &to_json(cells, steps))?;
-    Ok(json)
+pub fn to_json(cells: &[Cell], steps: usize) -> Json {
+    let rows: Json = cells
+        .iter()
+        .map(|c| {
+            Json::obj()
+                .with("protocol", c.protocol)
+                .with("app", c.app)
+                .with("cycles", c.cycles)
+                .with("clock", c.clock)
+                .with("attributed_cycles", c.attributed)
+                .with("touched_lines", c.touched_lines)
+                .with("heat_partition_check", c.partition_ok)
+                .with("attribution_transparent", c.transparent)
+                .with("hottest_line", c.hottest_line.0)
+                .with("hottest_line_cycles", c.hottest_line.1)
+                .with("hottest_line_level", c.hottest_line.2)
+                .with("hottest_region", &c.hottest_region.0)
+                .with("hottest_region_cycles", c.hottest_region.1)
+                .with("false_shared_lines", c.false_shared)
+                .with("sci_fetches", c.stats.sci_fetches)
+                .with("c2c_transfers", c.stats.c2c_transfers)
+                .with("upgrades", c.stats.upgrades)
+        })
+        .collect();
+    spp_scenario::report_head("insight")
+        .with("steps", steps)
+        .with("passed", passed(cells))
+        .with("cells", rows)
 }
 
 /// Render the campaign table plus one full heat report as a worked
@@ -236,26 +223,18 @@ pub fn report(cells: &[Cell]) -> String {
 /// under `target/repro` (override with `SPP_REPRO_DIR`), then panics
 /// if any invariant failed so the harness records a FAIL.
 pub fn run(o: &Opts) -> String {
-    let cells = sweep(o);
+    let (cells, example) = sweep(o);
     let mut text = report(&cells);
-
-    // A worked example of the full per-line report on the PIC cell.
-    let m = {
-        let machine = Machine::spp1000(HYPERNODES)
-            .with_protocol(ProtocolKind::DashSci)
-            .with_heatmap()
-            .with_race_detection();
-        run_app(machine, APPS[0], o.steps).1
-    };
     text.push_str(&emit(
         "repro-insight: heat report (PIC, dash-sci)",
-        heat_report(&m, 5).trim_end(),
+        example.trim_end(),
     ));
 
-    match write_report(&cells, o.steps, &crate::repro_dir()) {
-        Ok(json) => text.push_str(&format!("[report written to {}]\n", json.display())),
-        Err(e) => text.push_str(&format!("[could not write report: {e}]\n")),
-    }
+    text.push_str(&crate::write_bench(
+        "BENCH_insight.json",
+        &to_json(&cells, o.steps),
+    ));
+    text.push('\n');
     assert!(passed(&cells), "insight attribution invariants failed");
     text
 }
@@ -263,6 +242,39 @@ pub fn run(o: &Opts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let cell = Cell {
+            protocol: "dash-sci",
+            app: "nbody",
+            cycles: 100,
+            clock: 120,
+            attributed: 110,
+            touched_lines: 7,
+            partition_ok: true,
+            transparent: true,
+            hottest_line: (42, 60, "sci"),
+            hottest_region: ("bodies".to_string(), 80),
+            false_shared: 2,
+            stats: MemStats {
+                sci_fetches: 3,
+                c2c_transfers: 4,
+                upgrades: 5,
+                ..MemStats::default()
+            },
+        };
+        let expected = "{\n\
+            \x20 \"schema_version\": 1,\n\
+            \x20 \"experiment\": \"insight\",\n\
+            \x20 \"steps\": 2,\n\
+            \x20 \"passed\": true,\n\
+            \x20 \"cells\": [\n\
+            \x20   {\"protocol\": \"dash-sci\", \"app\": \"nbody\", \"cycles\": 100, \"clock\": 120, \"attributed_cycles\": 110, \"touched_lines\": 7, \"heat_partition_check\": true, \"attribution_transparent\": true, \"hottest_line\": 42, \"hottest_line_cycles\": 60, \"hottest_line_level\": \"sci\", \"hottest_region\": \"bodies\", \"hottest_region_cycles\": 80, \"false_shared_lines\": 2, \"sci_fetches\": 3, \"c2c_transfers\": 4, \"upgrades\": 5}\n\
+            \x20 ]\n\
+            }\n";
+        assert_eq!(to_json(&[cell], 2).report(), expected);
+    }
 
     #[test]
     fn every_protocol_cell_partitions_and_is_transparent() {
@@ -301,8 +313,11 @@ mod tests {
             run_cell(ProtocolKind::Mesi, APPS[2], 1),
         ];
         let b = to_json(&again, 1);
-        assert_eq!(a, b);
-        assert!(!a.contains('.'), "floats leaked into the report: {a}");
+        assert_eq!(a.report(), b.report());
+        assert!(
+            !a.report().contains('.'),
+            "floats leaked into the report: {a}"
+        );
         let doc = crate::parse_report(&a);
         assert_eq!(doc.bool_field("passed"), Some(true));
         for row in crate::report_array(&doc, "cells") {
@@ -316,9 +331,10 @@ mod tests {
     fn report_lands_on_disk() {
         let cells = vec![run_cell(ProtocolKind::Dragon, APPS[3], 1)];
         let dir = std::env::temp_dir().join("spp-insight-report-test");
-        let json = write_report(&cells, 1, &dir).unwrap();
+        let json =
+            spp_scenario::write_report(&dir, "BENCH_insight.json", &to_json(&cells, 1)).unwrap();
         assert!(json.ends_with("BENCH_insight.json"));
-        let doc = crate::parse_report(&std::fs::read_to_string(&json).unwrap());
+        let doc = crate::parse_file(&json);
         assert_eq!(doc.str_field("experiment"), Some("insight"));
         let row = &crate::report_array(&doc, "cells")[0];
         assert_eq!(row.str_field("protocol"), Some("dragon"));

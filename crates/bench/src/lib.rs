@@ -32,11 +32,6 @@ pub mod table1;
 pub mod table2;
 pub mod trace;
 
-/// Schema version stamped into every `BENCH_*.json` this crate emits
-/// (`faults`, `chaos`, `trace`, `race`, …); bump on breaking
-/// layout changes so downstream tooling can dispatch.
-pub const BENCH_SCHEMA_VERSION: i64 = 1;
-
 /// The report directory every experiment writes its `BENCH_*.json`
 /// under: `target/repro`, overridable with `SPP_REPRO_DIR`.
 pub fn repro_dir() -> std::path::PathBuf {
@@ -45,6 +40,16 @@ pub fn repro_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| std::path::PathBuf::from("target/repro"))
 }
 
+/// Write a campaign's report `name` under [`repro_dir`] and say where
+/// it went, or why it did not, for the campaign's text.
+pub(crate) fn write_bench(name: &str, doc: &Json) -> String {
+    match spp_scenario::write_report(&repro_dir(), name, doc) {
+        Ok(path) => format!("[report written to {}]", path.display()),
+        Err(e) => format!("[could not write report: {e}]"),
+    }
+}
+
+use spp_core::json::Json;
 /// The options every experiment's `run` takes; one type shared with
 /// the scenario engine, so each registry entry is the module's own
 /// `run` function.
@@ -115,24 +120,26 @@ pub fn emit(title: &str, body: &str) -> String {
     text
 }
 
-/// Parse a `BENCH_*.json` report with the in-tree JSON reader and
-/// return it, failing the test on invalid JSON or on a raw control
-/// character (the reader tolerates those inside strings; strict JSON
-/// does not).
+/// Write `doc` in the report layout and parse it back with the strict
+/// reader, failing the test on anything that is not valid JSON.
 #[cfg(test)]
-pub(crate) fn parse_report(json: &str) -> spp_serve::Json {
-    assert!(
-        !json.chars().any(|c| c.is_control() && c != '\n'),
-        "raw control character in {json:?}"
-    );
-    spp_serve::parse(json).unwrap_or_else(|e| panic!("{e}: {json}"))
+pub(crate) fn parse_report(doc: &Json) -> Json {
+    let text = doc.report();
+    spp_core::json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"))
+}
+
+/// Parse the JSON file at `path` with the strict reader.
+#[cfg(test)]
+pub(crate) fn parse_file(path: &std::path::Path) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    spp_core::json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"))
 }
 
 /// The array under `key` of a parsed report.
 #[cfg(test)]
-pub(crate) fn report_array<'a>(doc: &'a spp_serve::Json, key: &str) -> &'a [spp_serve::Json] {
+pub(crate) fn report_array<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
     match doc.get(key) {
-        Some(spp_serve::Json::Arr(items)) => items,
+        Some(Json::Arr(items)) => items,
         other => panic!("{key} is not an array: {other:?}"),
     }
 }

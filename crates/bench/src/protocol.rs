@@ -32,6 +32,7 @@
 //! `cmp`s the JSON.
 
 use crate::{emit, Opts, Table};
+use spp_core::json::Json;
 use spp_core::{CancelToken, Machine, MemStats, ProtocolKind};
 use spp_runtime::{Placement, Runtime, Team};
 use spp_scenario::{run_shared_app, WorkloadApp};
@@ -121,52 +122,30 @@ pub fn sweep(o: &Opts) -> Vec<Cell> {
 /// Machine-readable form (the `BENCH_protocol.json` ci.sh
 /// byte-compares across a double run). Integers only — no floats, no
 /// timestamps — so identical inputs serialize identically.
-pub fn to_json(cells: &[Cell], steps: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema_version\": {},\n  \"experiment\": \"protocol\",\n",
-        crate::BENCH_SCHEMA_VERSION
-    ));
-    out.push_str(&format!("  \"steps\": {steps},\n  \"cells\": [\n"));
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"hypernodes\": {}, \"cpus\": {}, \
-             \"app\": \"{}\", \"cycles\": {}, \"hits\": {}, \"local_misses\": {}, \
-             \"sci_fetches\": {}, \"invalidations\": {}, \"c2c_transfers\": {}, \
-             \"snoops\": {}, \"updates\": {}, \"footprint_lines\": {}, \
-             \"cached_lines\": {}}}{comma}\n",
-            c.protocol,
-            c.hypernodes,
-            c.cpus,
-            c.app,
-            c.cycles,
-            c.stats.hits,
-            c.stats.local_misses,
-            c.stats.sci_fetches,
-            c.stats.invalidations,
-            c.stats.c2c_transfers,
-            c.stats.snoops,
-            c.stats.updates,
-            c.footprint,
-            c.cached,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Write `BENCH_protocol.json` under `dir` (created if needed).
-/// Returns the JSON path.
-pub fn write_report(
-    cells: &[Cell],
-    steps: usize,
-    dir: &std::path::Path,
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let json = dir.join("BENCH_protocol.json");
-    spp_core::atomic_write_str(&json, &to_json(cells, steps))?;
-    Ok(json)
+pub fn to_json(cells: &[Cell], steps: usize) -> Json {
+    let rows: Json = cells
+        .iter()
+        .map(|c| {
+            Json::obj()
+                .with("protocol", c.protocol)
+                .with("hypernodes", c.hypernodes)
+                .with("cpus", c.cpus)
+                .with("app", c.app)
+                .with("cycles", c.cycles)
+                .with("hits", c.stats.hits)
+                .with("local_misses", c.stats.local_misses)
+                .with("sci_fetches", c.stats.sci_fetches)
+                .with("invalidations", c.stats.invalidations)
+                .with("c2c_transfers", c.stats.c2c_transfers)
+                .with("snoops", c.stats.snoops)
+                .with("updates", c.stats.updates)
+                .with("footprint_lines", c.footprint)
+                .with("cached_lines", c.cached)
+        })
+        .collect();
+    spp_scenario::report_head("protocol")
+        .with("steps", steps)
+        .with("cells", rows)
 }
 
 /// Run the protocol comparison. Writes `BENCH_protocol.json`, then
@@ -212,10 +191,11 @@ pub fn run(o: &Opts) -> String {
             t.render()
         ),
     );
-    match write_report(&cells, o.steps, &crate::repro_dir()) {
-        Ok(json) => text.push_str(&format!("[report written to {}]\n", json.display())),
-        Err(e) => text.push_str(&format!("[could not write report: {e}]\n")),
-    }
+    text.push_str(&crate::write_bench(
+        "BENCH_protocol.json",
+        &to_json(&cells, o.steps),
+    ));
+    text.push('\n');
     for c in &cells {
         match c.protocol {
             "dash-sci" => assert_eq!(
@@ -254,6 +234,42 @@ pub fn run(o: &Opts) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let cell = |protocol, app| Cell {
+            protocol,
+            hypernodes: 2,
+            cpus: 16,
+            app,
+            cycles: 1000,
+            stats: MemStats {
+                hits: 1,
+                local_misses: 2,
+                sci_fetches: 3,
+                invalidations: 4,
+                c2c_transfers: 5,
+                snoops: 6,
+                updates: 7,
+                ..MemStats::default()
+            },
+            footprint: 8,
+            cached: 9,
+        };
+        let expected = "{\n\
+            \x20 \"schema_version\": 1,\n\
+            \x20 \"experiment\": \"protocol\",\n\
+            \x20 \"steps\": 3,\n\
+            \x20 \"cells\": [\n\
+            \x20   {\"protocol\": \"mesi\", \"hypernodes\": 2, \"cpus\": 16, \"app\": \"pic\", \"cycles\": 1000, \"hits\": 1, \"local_misses\": 2, \"sci_fetches\": 3, \"invalidations\": 4, \"c2c_transfers\": 5, \"snoops\": 6, \"updates\": 7, \"footprint_lines\": 8, \"cached_lines\": 9},\n\
+            \x20   {\"protocol\": \"dragon\", \"hypernodes\": 2, \"cpus\": 16, \"app\": \"fem\", \"cycles\": 1000, \"hits\": 1, \"local_misses\": 2, \"sci_fetches\": 3, \"invalidations\": 4, \"c2c_transfers\": 5, \"snoops\": 6, \"updates\": 7, \"footprint_lines\": 8, \"cached_lines\": 9}\n\
+            \x20 ]\n\
+            }\n";
+        assert_eq!(
+            to_json(&[cell("mesi", "pic"), cell("dragon", "fem")], 3).report(),
+            expected
+        );
+    }
 
     fn quick(kind: ProtocolKind, h: usize) -> Cell {
         run_cell(kind, h, APPS[2], 1)
@@ -317,7 +333,7 @@ mod tests {
         // the full sweep and `cmp`s the report for the same property.
         let cells: Vec<Cell> = ProtocolKind::ALL.map(|k| quick(k, 2)).to_vec();
         let again: Vec<Cell> = ProtocolKind::ALL.map(|k| quick(k, 2)).to_vec();
-        assert_eq!(to_json(&cells, 1), to_json(&again, 1));
+        assert_eq!(to_json(&cells, 1).report(), to_json(&again, 1).report());
         let doc = crate::parse_report(&to_json(&cells, 1));
         assert_eq!(doc.str_field("experiment"), Some("protocol"));
         let rows = crate::report_array(&doc, "cells");

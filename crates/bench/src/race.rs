@@ -19,7 +19,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub use crate::chaos::Workload;
 use crate::{emit, Opts, Table};
 use proptest::racy;
-use spp_core::{json_escape, panic_message, Machine, MemStats, RaceReport};
+use spp_core::json::Json;
+use spp_core::{panic_message, Machine, MemStats, RaceReport};
 use spp_runtime::{Runtime, SchedulePolicy};
 use spp_scenario::SharedApp;
 
@@ -376,24 +377,15 @@ impl MinimalRepro {
     }
 
     /// Machine-readable form (`race_repro.json`).
-    pub fn to_json(&self) -> String {
-        let sched = self
-            .schedule
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n  \"kernel\": \"{}\",\n  \"nvalues\": {},\n  \"values_seed\": {},\n  \
-             \"threads\": {},\n  \"schedule\": [{sched}],\n  \"identity_bits\": {},\n  \
-             \"permuted_bits\": {}\n}}\n",
-            self.kernel,
-            self.nvalues,
-            self.values_seed,
-            self.threads,
-            self.identity_bits,
-            self.permuted_bits
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("kernel", self.kernel)
+            .with("nvalues", self.nvalues)
+            .with("values_seed", self.values_seed)
+            .with("threads", self.threads)
+            .with("schedule", self.schedule.clone())
+            .with("identity_bits", self.identity_bits)
+            .with("permuted_bits", self.permuted_bits)
     }
 }
 
@@ -621,90 +613,47 @@ impl Campaign {
 
     /// Machine-readable form (the `BENCH_race.json` ci.sh asserts on,
     /// following the `BENCH_*.json` convention).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {},\n  \"experiment\": \"race\",\n",
-            crate::BENCH_SCHEMA_VERSION
-        ));
-        out.push_str(&format!(
-            "  \"full\": {},\n  \"steps\": {},\n  \"passed\": {},\n",
-            self.full,
-            self.steps,
-            self.passed()
-        ));
-        out.push_str("  \"apps\": [\n");
-        for (i, a) in self.apps.iter().enumerate() {
-            let comma = if i + 1 < self.apps.len() { "," } else { "" };
-            let divergent = a
-                .divergent
-                .iter()
-                .map(|d| format!("\"{}\"", json_escape(d)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let failure = match &a.failure {
-                Some(msg) => format!(", \"failure\": \"{}\"", json_escape(msg)),
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"pass\": {}, \"races\": {}, \"warnings\": {}, \
-                 \"regions\": {}, \"accesses\": {}, \"schedules\": {}, \
-                 \"max_drift\": {}, \"drift_limit\": {}, \
-                 \"divergent\": [{divergent}]{failure}}}{comma}\n",
-                a.workload.label(),
-                a.pass(),
-                a.races,
-                a.warnings,
-                a.regions,
-                a.accesses,
-                a.schedules,
-                a.max_drift,
-                a.drift_limit,
-            ));
-        }
-        out.push_str("  ],\n");
-        let c = &self.control;
-        let diverged = c
-            .diverged
+    pub fn to_json(&self) -> Json {
+        let apps: Json = self
+            .apps
             .iter()
-            .map(|d| format!("\"{d}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
+            .map(|a| {
+                let mut row = Json::obj()
+                    .with("workload", a.workload.label())
+                    .with("pass", a.pass())
+                    .with("races", a.races)
+                    .with("warnings", a.warnings)
+                    .with("regions", a.regions)
+                    .with("accesses", a.accesses)
+                    .with("schedules", a.schedules)
+                    .with("max_drift", a.max_drift)
+                    .with("drift_limit", a.drift_limit)
+                    .with("divergent", a.divergent.clone());
+                if let Some(msg) = &a.failure {
+                    row.push("failure", msg);
+                }
+                row
+            })
+            .collect();
+        let c = &self.control;
         let (threads, schedule) = match &c.repro {
-            Some(r) => (
-                r.threads.to_string(),
-                r.schedule
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            ),
-            None => ("0".to_string(), String::new()),
+            Some(r) => (r.threads, r.schedule.clone()),
+            None => (0, Vec::new()),
         };
-        out.push_str(&format!(
-            "  \"control\": {{\"pass\": {}, \"races\": {}, \"flagged_array\": {}, \
-             \"diverged\": [{diverged}], \"repro_threads\": {threads}, \
-             \"repro_schedule\": [{schedule}], \"replay_diverges\": {}}}\n",
-            c.pass(),
-            c.races,
-            c.flagged_array,
-            c.replay_ok
-        ));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Write `BENCH_race.json` (and, when the control produced one,
-    /// the `race_repro.json` replay artifact) under `dir`. Returns the
-    /// campaign JSON path.
-    pub fn write_report(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let json = dir.join("BENCH_race.json");
-        spp_core::atomic_write_str(&json, &self.to_json())?;
-        if let Some(r) = &self.control.repro {
-            spp_core::atomic_write_str(&dir.join("race_repro.json"), &r.to_json())?;
-        }
-        Ok(json)
+        let control = Json::obj()
+            .with("pass", c.pass())
+            .with("races", c.races)
+            .with("flagged_array", c.flagged_array)
+            .with("diverged", c.diverged.clone())
+            .with("repro_threads", threads)
+            .with("repro_schedule", schedule)
+            .with("replay_diverges", c.replay_ok);
+        spp_scenario::report_head("race")
+            .with("full", self.full)
+            .with("steps", self.steps)
+            .with("passed", self.passed())
+            .with("apps", apps)
+            .with("control", control)
     }
 }
 
@@ -729,10 +678,14 @@ pub fn campaign(o: &Opts) -> Campaign {
 /// campaign fails so the harness records a FAIL.
 pub fn run(o: &Opts) -> String {
     let c = campaign(o);
-    let report = match c.write_report(&crate::repro_dir()) {
-        Ok(json) => format!("[report written to {}]", json.display()),
-        Err(e) => format!("[could not write report: {e}]"),
-    };
+    let mut report = crate::write_bench("BENCH_race.json", &c.to_json());
+    if let Some(r) = &c.control.repro {
+        if let Err(e) =
+            spp_scenario::write_report(&crate::repro_dir(), "race_repro.json", &r.to_json())
+        {
+            report = format!("[could not write report: {e}]");
+        }
+    }
     let text = emit(
         "race: happens-before detection + schedule-permutation fuzzing",
         &format!("{}\n{report}", c.render()),
@@ -815,6 +768,63 @@ mod tests {
             .map(|t| t.as_int())
             .collect();
         assert_eq!(sched, [Some(1), Some(0)]);
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        assert_eq!(
+            repro().to_json().report(),
+            "{\n\
+             \x20 \"kernel\": \"racy-sum\",\n\
+             \x20 \"nvalues\": 4,\n\
+             \x20 \"values_seed\": 9,\n\
+             \x20 \"threads\": 2,\n\
+             \x20 \"schedule\": [1, 0],\n\
+             \x20 \"identity_bits\": 1,\n\
+             \x20 \"permuted_bits\": 2\n\
+             }\n"
+        );
+        let app = |workload, divergent: &[&str], failure: Option<&str>| AppResult {
+            workload,
+            races: 1,
+            warnings: 2,
+            regions: 3,
+            accesses: 4,
+            schedules: 8,
+            divergent: divergent.iter().map(|d| d.to_string()).collect(),
+            max_drift: 5,
+            drift_limit: 64,
+            failure: failure.map(str::to_string),
+        };
+        let c = Campaign {
+            apps: vec![
+                app(Workload::Pic, &[], None),
+                app(Workload::Fem, &["reversed", "shuffled-1"], Some("a\"b")),
+            ],
+            control: ControlResult {
+                races: 3,
+                flagged_array: true,
+                diverged: vec!["reversed".to_string(), "shuffled-2".to_string()],
+                repro: None,
+                replay_ok: false,
+                failure: None,
+            },
+            steps: 1,
+            full: true,
+        };
+        let expected = "{\n\
+            \x20 \"schema_version\": 1,\n\
+            \x20 \"experiment\": \"race\",\n\
+            \x20 \"full\": true,\n\
+            \x20 \"steps\": 1,\n\
+            \x20 \"passed\": false,\n\
+            \x20 \"apps\": [\n\
+            \x20   {\"workload\": \"pic\", \"pass\": false, \"races\": 1, \"warnings\": 2, \"regions\": 3, \"accesses\": 4, \"schedules\": 8, \"max_drift\": 5, \"drift_limit\": 64, \"divergent\": []},\n\
+            \x20   {\"workload\": \"fem\", \"pass\": false, \"races\": 1, \"warnings\": 2, \"regions\": 3, \"accesses\": 4, \"schedules\": 8, \"max_drift\": 5, \"drift_limit\": 64, \"divergent\": [\"reversed\", \"shuffled-1\"], \"failure\": \"a\\\"b\"}\n\
+            \x20 ],\n\
+            \x20 \"control\": {\"pass\": false, \"races\": 3, \"flagged_array\": true, \"diverged\": [\"reversed\", \"shuffled-2\"], \"repro_threads\": 0, \"repro_schedule\": [], \"replay_diverges\": false}\n\
+            }\n";
+        assert_eq!(c.to_json().report(), expected);
     }
 
     #[test]

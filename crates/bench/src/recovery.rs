@@ -18,11 +18,10 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::chaos::{joined_events, json_events, shrink, Workload};
+use crate::chaos::{descs, joined_events, shrink, Workload};
 use crate::{emit, Opts, Table};
-use spp_core::{
-    json_escape, panic_message, Cycles, FaultEvent, FaultPlan, Machine, MemStats, ProtocolKind,
-};
+use spp_core::json::Json;
+use spp_core::{panic_message, Cycles, FaultEvent, FaultPlan, Machine, MemStats, ProtocolKind};
 use spp_runtime::Runtime;
 
 /// Probability of each transient kind at standard intensity.
@@ -342,56 +341,35 @@ impl Campaign {
     /// Machine-readable form (`BENCH_recovery.json`). Integers only —
     /// the probabilities live inside event-description strings — so
     /// two identical campaigns produce byte-identical files.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {},\n  \"experiment\": \"recovery\",\n",
-            crate::BENCH_SCHEMA_VERSION
-        ));
-        out.push_str(&format!(
-            "  \"full\": {},\n  \"steps\": {},\n  \"cells\": {},\n  \"passed\": {},\n  \"total_recoveries\": {},\n",
-            self.full,
-            self.steps,
-            self.results.len(),
-            self.passed(),
-            self.total_recoveries()
-        ));
-        out.push_str("  \"grid\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let comma = if i + 1 < self.results.len() { "," } else { "" };
-            let events = json_events(&r.cell.events);
-            let head = format!(
-                "\"workload\": \"{}\", \"protocol\": \"{}\", \"seed\": {}, \"events\": [{events}]",
-                r.cell.workload.label(),
-                r.cell.protocol.label(),
-                r.cell.seed,
-            );
-            match &r.outcome {
-                Some(o) => out.push_str(&format!(
-                    "    {{{head}, \"pass\": true, \"elapsed\": {}, \
-                     \"recoveries\": {}, \"retries\": {}}}{comma}\n",
-                    o.elapsed, o.recoveries, o.retries
-                )),
-                None => {
-                    let msg = json_escape(r.failure.as_deref().unwrap_or(""));
-                    let shrunk = json_events(r.shrunk.as_deref().unwrap_or_default());
-                    out.push_str(&format!(
-                        "    {{{head}, \"pass\": false, \"failure\": \"{msg}\", \
-                         \"reproducer\": [{shrunk}]}}{comma}\n",
-                    ));
+    pub fn to_json(&self) -> Json {
+        let grid: Json = self
+            .results
+            .iter()
+            .map(|r| {
+                let row = Json::obj()
+                    .with("workload", r.cell.workload.label())
+                    .with("protocol", r.cell.protocol.label())
+                    .with("seed", r.cell.seed)
+                    .with("events", descs(&r.cell.events))
+                    .with("pass", r.outcome.is_some());
+                match &r.outcome {
+                    Some(o) => row
+                        .with("elapsed", o.elapsed)
+                        .with("recoveries", o.recoveries)
+                        .with("retries", o.retries),
+                    None => row
+                        .with("failure", r.failure.as_deref().unwrap_or(""))
+                        .with("reproducer", descs(r.shrunk.as_deref().unwrap_or_default())),
                 }
-            }
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Write `BENCH_recovery.json` under `dir` (created if needed).
-    pub fn write_report(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let json = dir.join("BENCH_recovery.json");
-        spp_core::atomic_write_str(&json, &self.to_json())?;
-        Ok(json)
+            })
+            .collect();
+        spp_scenario::report_head("recovery")
+            .with("full", self.full)
+            .with("steps", self.steps)
+            .with("cells", self.results.len())
+            .with("passed", self.passed())
+            .with("total_recoveries", self.total_recoveries())
+            .with("grid", grid)
     }
 }
 
@@ -405,10 +383,7 @@ pub fn campaign(o: &Opts) -> Campaign {
 /// recovery contract so the harness records a FAIL.
 pub fn run(o: &Opts) -> String {
     let c = campaign(o);
-    let report = match c.write_report(&crate::repro_dir()) {
-        Ok(json) => format!("[report written to {}]", json.display()),
-        Err(e) => format!("[could not write report: {e}]"),
-    };
+    let report = crate::write_bench("BENCH_recovery.json", &c.to_json());
     let text = emit(
         "repro-recovery: transient-fault recovery contract",
         &format!(
@@ -516,6 +491,52 @@ mod tests {
     }
 
     #[test]
+    fn report_json_bytes_are_pinned() {
+        let c = |w| Cell {
+            workload: w,
+            protocol: ProtocolKind::Mesi,
+            seed: 3,
+            events: vec![FaultEvent::InvalDrop { prob: 0.5 }],
+        };
+        let campaign = Campaign {
+            results: vec![
+                CellResult {
+                    cell: c(Workload::Pic),
+                    outcome: Some(CellOutcome {
+                        elapsed: 900,
+                        recoveries: 4,
+                        retries: 6,
+                    }),
+                    failure: None,
+                    shrunk: None,
+                },
+                CellResult {
+                    cell: c(Workload::Fem),
+                    outcome: None,
+                    failure: Some("tab\there".to_string()),
+                    shrunk: Some(Vec::new()),
+                },
+            ],
+            steps: 1,
+            full: false,
+        };
+        let expected = "{\n\
+            \x20 \"schema_version\": 1,\n\
+            \x20 \"experiment\": \"recovery\",\n\
+            \x20 \"full\": false,\n\
+            \x20 \"steps\": 1,\n\
+            \x20 \"cells\": 2,\n\
+            \x20 \"passed\": false,\n\
+            \x20 \"total_recoveries\": 4,\n\
+            \x20 \"grid\": [\n\
+            \x20   {\"workload\": \"pic\", \"protocol\": \"mesi\", \"seed\": 3, \"events\": [\"inval-drop(p=0.5)\"], \"pass\": true, \"elapsed\": 900, \"recoveries\": 4, \"retries\": 6},\n\
+            \x20   {\"workload\": \"fem\", \"protocol\": \"mesi\", \"seed\": 3, \"events\": [\"inval-drop(p=0.5)\"], \"pass\": false, \"failure\": \"tab\\there\", \"reproducer\": []}\n\
+            \x20 ]\n\
+            }\n";
+        assert_eq!(campaign.to_json().report(), expected);
+    }
+
+    #[test]
     fn control_characters_in_a_failure_message_stay_valid_json() {
         let msg = "scrub \"gave up\"\tat\u{1} line\r\nC:\\path";
         let c = cell(
@@ -552,7 +573,7 @@ mod tests {
         let a = run_campaign(&cells, 1, false);
         assert!(a.passed(), "{}", a.render());
         let b = run_campaign(&cells, 1, false);
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_json().report(), b.to_json().report());
         let doc = crate::parse_report(&a.to_json());
         assert_eq!(doc.str_field("experiment"), Some("recovery"));
         assert_eq!(doc.bool_field("passed"), Some(true));
@@ -562,7 +583,7 @@ mod tests {
             .iter()
             .all(|r| r.int_field("recoveries").is_some_and(|n| n > 0)));
         // No bare floats outside the quoted event descriptions.
-        for line in a.to_json().lines() {
+        for line in a.to_json().report().lines() {
             let mut outside = String::new();
             let mut in_str = false;
             for ch in line.chars() {

@@ -120,11 +120,8 @@ pub fn run_and_report(
     print!("{}", report.render());
     // Atomic temp-file + rename: a crash mid-write leaves the
     // previous report intact, never a torn one.
-    if let Err(e) = std::fs::create_dir_all(dir)
-        .and_then(|()| {
-            spp_core::atomic_write_str(&dir.join("BENCH_scenarios.json"), &report.to_json())
-        })
-        .and_then(|()| {
+    if let Err(e) = spp_scenario::write_report(dir, "BENCH_scenarios.json", &report.to_json())
+        .and_then(|_| {
             spp_core::atomic_write_str(&dir.join("scenarios_summary.txt"), &report.render())
         })
     {
@@ -364,10 +361,11 @@ mod tests {
         let code = repro_main(&strings(&["all", "--steps", "1"]), &sweep_registry(), &d);
         assert_eq!(code, 1, "a failed cell fails the sweep");
 
-        let json =
-            spp_serve::parse(&std::fs::read_to_string(d.join("BENCH_scenarios.json")).unwrap())
-                .unwrap();
-        let Some(spp_serve::Json::Arr(results)) = json.get("results") else {
+        let json = spp_core::json::parse(
+            &std::fs::read_to_string(d.join("BENCH_scenarios.json")).unwrap(),
+        )
+        .unwrap();
+        let Some(spp_core::json::Json::Arr(results)) = json.get("results") else {
             panic!("no results array: {json:?}");
         };
         let rows: Vec<(&str, &str)> = results
@@ -393,9 +391,9 @@ mod tests {
         let beats = spp_scenario::read_heartbeat_stream(&d.join("scenarios_heartbeat.jsonl"))
             .unwrap()
             .lines;
-        let ends: Vec<spp_serve::Json> = beats
+        let ends: Vec<spp_core::json::Json> = beats
             .iter()
-            .map(|l| spp_serve::parse(l).unwrap())
+            .map(|l| spp_core::json::parse(l).unwrap())
             .filter(|b| b.str_field("event") == Some("end"))
             .collect();
         assert_eq!(ends.len(), 3);

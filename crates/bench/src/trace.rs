@@ -16,6 +16,7 @@
 use crate::{emit, f, Opts, Table};
 use nbody::{NbodyProblem, SharedNbody};
 use pic::{PicProblem, SharedPic};
+use spp_core::json::Json;
 use spp_core::trace::{metrics_json, perfetto_json, spp_top, N_EVENT_KINDS};
 use spp_core::{Machine, MemClass, SimArray, TraceEvent};
 use spp_runtime::{Placement, Profile, Runtime, Team};
@@ -234,64 +235,54 @@ pub fn study(steps: usize) -> TraceReport {
 
 /// Machine-readable form (the `BENCH_trace.json` the `spp repro trace`
 /// binary writes under `target/repro`).
-pub fn to_json(rep: &TraceReport, steps: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"schema_version\": {},\n  \"experiment\": \"trace\",\n",
-        crate::BENCH_SCHEMA_VERSION
-    ));
-    out.push_str(&format!(
-        "  \"steps\": {},\n  \"passed\": {},\n  \"deterministic\": {},\n",
-        steps,
-        rep.passed(),
-        rep.deterministic
-    ));
-    out.push_str(&format!(
-        "  \"overhead\": {{\"cycles_identical\": {}, \"stats_identical\": {}, \
-         \"ns_off\": {}, \"ns_on\": {}, \"overhead_pct\": {:.2}}},\n",
-        rep.overhead.cycles_off == rep.overhead.cycles_on,
-        rep.overhead.stats_identical,
-        rep.overhead.ns_off,
-        rep.overhead.ns_on,
-        rep.overhead.overhead() * 100.0
-    ));
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in rep.runs.iter().enumerate() {
-        let comma = if i + 1 < rep.runs.len() { "," } else { "" };
-        let counts: Vec<String> = r
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(k, c)| format!("\"{}\": {c}", TraceEvent::kind_label(k)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"elapsed\": {}, \"events\": {}, \
-             \"dropped\": {}, \"balanced\": {}, \"reconciled\": {}, \
-             \"counts\": {{{}}}}}{comma}\n",
-            r.workload,
-            r.elapsed,
-            r.events,
-            r.dropped,
-            r.balanced,
-            r.reconciled,
-            counts.join(", ")
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn to_json(rep: &TraceReport, steps: usize) -> Json {
+    let overhead = Json::obj()
+        .with(
+            "cycles_identical",
+            rep.overhead.cycles_off == rep.overhead.cycles_on,
+        )
+        .with("stats_identical", rep.overhead.stats_identical)
+        .with("ns_off", rep.overhead.ns_off)
+        .with("ns_on", rep.overhead.ns_on)
+        // A percentage to two decimals (host-timed, so never pinned).
+        .with(
+            "overhead_pct",
+            (rep.overhead.overhead() * 10_000.0).round() / 100.0,
+        );
+    let workloads: Json = rep
+        .runs
+        .iter()
+        .map(|r| {
+            let counts = r
+                .counts
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| **c > 0)
+                .map(|(k, c)| (TraceEvent::kind_label(k).to_string(), Json::from(*c)))
+                .collect();
+            Json::obj()
+                .with("workload", r.workload)
+                .with("elapsed", r.elapsed)
+                .with("events", r.events)
+                .with("dropped", r.dropped)
+                .with("balanced", r.balanced)
+                .with("reconciled", r.reconciled)
+                .with("counts", Json::Obj(counts))
+        })
+        .collect();
+    spp_scenario::report_head("trace")
+        .with("steps", steps)
+        .with("passed", rep.passed())
+        .with("deterministic", rep.deterministic)
+        .with("overhead", overhead)
+        .with("workloads", workloads)
 }
 
-/// Write `BENCH_trace.json` plus the Perfetto timelines under `dir`
-/// (created if needed). Returns the JSON path.
-pub fn write_report(
-    rep: &TraceReport,
-    steps: usize,
-    dir: &std::path::Path,
-) -> std::io::Result<std::path::PathBuf> {
+/// Write the Perfetto timelines under `dir` (created if needed): one
+/// `trace_<workload>.json` per run plus the canonical
+/// `trace_timeline.json` (load in ui.perfetto.dev).
+pub fn write_timelines(rep: &TraceReport, dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let json = dir.join("BENCH_trace.json");
-    spp_core::atomic_write_str(&json, &to_json(rep, steps))?;
     for r in &rep.runs {
         let slug: String = r
             .workload
@@ -301,9 +292,7 @@ pub fn write_report(
             .collect();
         spp_core::atomic_write_str(&dir.join(format!("trace_{slug}.json")), &r.perfetto)?;
     }
-    // The canonical timeline artifact (load in ui.perfetto.dev).
-    spp_core::atomic_write_str(&dir.join("trace_timeline.json"), &rep.runs[0].perfetto)?;
-    Ok(json)
+    spp_core::atomic_write_str(&dir.join("trace_timeline.json"), &rep.runs[0].perfetto)
 }
 
 /// Regenerate the observability report. Writes `BENCH_trace.json`
@@ -313,9 +302,13 @@ pub fn write_report(
 pub fn run(o: &Opts) -> String {
     let rep = study(o.steps);
     let mut text = report(o, &rep);
-    match write_report(&rep, o.steps, &crate::repro_dir()) {
-        Ok(json) => text.push_str(&format!("[report written to {}]\n", json.display())),
-        Err(e) => text.push_str(&format!("[could not write report: {e}]\n")),
+    text.push_str(&crate::write_bench(
+        "BENCH_trace.json",
+        &to_json(&rep, o.steps),
+    ));
+    text.push('\n');
+    if let Err(e) = write_timelines(&rep, &crate::repro_dir()) {
+        text.push_str(&format!("[could not write timelines: {e}]\n"));
     }
     assert!(rep.passed(), "trace observability invariants failed");
     text
@@ -397,6 +390,53 @@ mod tests {
     use super::*;
 
     #[test]
+    fn report_json_bytes_are_pinned() {
+        let mut counts = [0u64; N_EVENT_KINDS];
+        counts[0] = 3;
+        counts[9] = 2;
+        let run = |workload, counts| TraceOutcome {
+            workload,
+            elapsed: 500,
+            events: 5,
+            dropped: 0,
+            counts,
+            perfetto: String::new(),
+            metrics: String::new(),
+            top: String::new(),
+            profile: String::new(),
+            balanced: true,
+            reconciled: true,
+        };
+        let rep = TraceReport {
+            runs: vec![
+                run("PIC (shared)", counts),
+                run("N-body", [0; N_EVENT_KINDS]),
+            ],
+            deterministic: true,
+            overhead: OverheadStudy {
+                cycles_off: 9,
+                cycles_on: 9,
+                ns_off: 10_000,
+                ns_on: 11_234,
+                stats_identical: true,
+            },
+        };
+        let expected = "{\n\
+            \x20 \"schema_version\": 1,\n\
+            \x20 \"experiment\": \"trace\",\n\
+            \x20 \"steps\": 1,\n\
+            \x20 \"passed\": true,\n\
+            \x20 \"deterministic\": true,\n\
+            \x20 \"overhead\": {\"cycles_identical\": true, \"stats_identical\": true, \"ns_off\": 10000, \"ns_on\": 11234, \"overhead_pct\": 12.34},\n\
+            \x20 \"workloads\": [\n\
+            \x20   {\"workload\": \"PIC (shared)\", \"elapsed\": 500, \"events\": 5, \"dropped\": 0, \"balanced\": true, \"reconciled\": true, \"counts\": {\"miss-local\": 3, \"fork-span\": 2}},\n\
+            \x20   {\"workload\": \"N-body\", \"elapsed\": 500, \"events\": 5, \"dropped\": 0, \"balanced\": true, \"reconciled\": true, \"counts\": {}}\n\
+            \x20 ]\n\
+            }\n";
+        assert_eq!(to_json(&rep, 1).report(), expected);
+    }
+
+    #[test]
     fn traced_pic_reconciles_and_balances() {
         let r = pic_traced(1);
         assert!(r.events > 0);
@@ -430,16 +470,16 @@ mod tests {
             overhead: overhead_study(1),
         };
         let dir = std::env::temp_dir().join("spp-trace-report-test");
-        let json = write_report(&rep, 1, &dir).unwrap();
-        assert!(json.ends_with("BENCH_trace.json"));
-        let doc = crate::parse_report(&std::fs::read_to_string(&json).unwrap());
+        let json = spp_scenario::write_report(&dir, "BENCH_trace.json", &to_json(&rep, 1)).unwrap();
+        write_timelines(&rep, &dir).unwrap();
+        let doc = crate::parse_file(&json);
         assert_eq!(doc.str_field("experiment"), Some("trace"));
         assert_eq!(doc.bool_field("passed"), Some(true));
         let overhead = doc.get("overhead").expect("overhead object");
         assert_eq!(overhead.bool_field("cycles_identical"), Some(true));
         let run = &crate::report_array(&doc, "workloads")[0];
         assert!(run.get("counts").and_then(|c| c.int_field("miss-sci")) > Some(0));
-        crate::parse_report(&std::fs::read_to_string(dir.join("trace_timeline.json")).unwrap());
+        crate::parse_file(&dir.join("trace_timeline.json"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

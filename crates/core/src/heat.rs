@@ -32,6 +32,7 @@
 //! or [`MemStats`] — attribution-on runs are bit-identical to
 //! attribution-off runs (the machine's unit tests hold it to that).
 
+use crate::json::Json;
 use crate::latency::Cycles;
 use crate::linemap::LineMap;
 use crate::machine::Machine;
@@ -447,33 +448,27 @@ pub fn heat_report(m: &Machine, n: usize) -> String {
     out
 }
 
-fn cell_json(cell: &HeatCell) -> String {
-    let mut out = String::from("{\"cycles\": {");
-    for (i, lvl) in ServiceLevel::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "\"{}\": {}",
-            lvl.label(),
-            cell.cycles[lvl.index()]
-        ));
-    }
-    out.push_str(&format!(
-        "}}, \"accesses\": {}, \"local\": {}, \"gcb\": {}, \"sci\": {}, \"c2c\": {}, \
-         \"upgrades\": {}, \"inval_walks\": {}, \"uncached\": {}, \"dominant\": \"{}\"",
-        cell.accesses,
-        cell.local_misses,
-        cell.gcb_hits,
-        cell.sci_fetches,
-        cell.c2c_transfers,
-        cell.upgrades,
-        cell.inval_walks,
-        cell.uncached_ops,
-        cell.dominant_level().label(),
-    ));
-    out.push('}');
-    out
+fn cell_json(cell: &HeatCell) -> Json {
+    let cycles = ServiceLevel::ALL
+        .iter()
+        .map(|lvl| {
+            (
+                lvl.label().to_string(),
+                Json::from(cell.cycles[lvl.index()]),
+            )
+        })
+        .collect();
+    Json::obj()
+        .with("cycles", Json::Obj(cycles))
+        .with("accesses", cell.accesses)
+        .with("local", cell.local_misses)
+        .with("gcb", cell.gcb_hits)
+        .with("sci", cell.sci_fetches)
+        .with("c2c", cell.c2c_transfers)
+        .with("upgrades", cell.upgrades)
+        .with("inval_walks", cell.inval_walks)
+        .with("uncached", cell.uncached_ops)
+        .with("dominant", cell.dominant_level().label())
 }
 
 /// Machine-readable attribution snapshot: clock, partition verdict,
@@ -481,58 +476,82 @@ fn cell_json(cell: &HeatCell) -> String {
 /// lines. Integers, strings and booleans only — no floats — so the
 /// output is byte-stable and CI can `cmp` double runs directly.
 pub fn insight_json(m: &Machine, top: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"clock\": {},\n", m.clock()));
-    match m.heatmap() {
-        None => {
-            out.push_str("  \"heatmap\": false\n}\n");
-            return out;
-        }
-        Some(h) => {
-            let warned = warned_lines(m);
-            out.push_str("  \"heatmap\": true,\n");
-            out.push_str(&format!(
-                "  \"attributed_cycles\": {},\n",
-                h.totals().total_cycles()
-            ));
-            out.push_str(&format!(
-                "  \"heat_partition_check\": {},\n",
-                m.heat_partition_check()
-            ));
-            out.push_str(&format!("  \"touched_lines\": {},\n", h.touched_lines()));
-            out.push_str(&format!("  \"totals\": {},\n", cell_json(&h.totals())));
-            out.push_str("  \"regions\": [\n");
-            let regions = heat_by_region(m);
-            for (i, r) in regions.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"false_shared_lines\": {}, \"heat\": {}}}{}\n",
-                    crate::trace::json_escape(&r.name),
-                    r.false_shared_lines,
-                    cell_json(&r.cell),
-                    if i + 1 < regions.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("  ],\n  \"top_lines\": [\n");
-            let lines = h.hottest(top);
-            for (i, (line, cell)) in lines.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"line\": {}, \"region\": \"{}\", \"false_sharing\": {}, \"heat\": {}}}{}\n",
-                    line,
-                    crate::trace::json_escape(&line_region_name(m, *line)),
-                    warned.contains(line),
-                    cell_json(cell),
-                    if i + 1 < lines.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("  ]\n}\n");
-        }
-    }
-    out
+    let doc = Json::obj().with("clock", m.clock());
+    let Some(h) = m.heatmap() else {
+        return doc.with("heatmap", false).report();
+    };
+    let warned = warned_lines(m);
+    let regions: Json = heat_by_region(m)
+        .iter()
+        .map(|r| {
+            Json::obj()
+                .with("name", &r.name)
+                .with("false_shared_lines", r.false_shared_lines)
+                .with("heat", cell_json(&r.cell))
+        })
+        .collect();
+    let lines: Json = h
+        .hottest(top)
+        .iter()
+        .map(|(line, cell)| {
+            Json::obj()
+                .with("line", *line)
+                .with("region", line_region_name(m, *line))
+                .with("false_sharing", warned.contains(line))
+                .with("heat", cell_json(cell))
+        })
+        .collect();
+    doc.with("heatmap", true)
+        .with("attributed_cycles", h.totals().total_cycles())
+        .with("heat_partition_check", m.heat_partition_check())
+        .with("touched_lines", h.touched_lines())
+        .with("totals", cell_json(&h.totals()))
+        .with("regions", regions)
+        .with("top_lines", lines)
+        .report()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn insight_json_bytes_are_pinned() {
+        use crate::{CpuId, MemClass};
+        let mut m = Machine::spp1000(1).with_heatmap().with_race_detection();
+        let r = m.alloc(MemClass::FarShared, 4096);
+        m.label_region(r.base, "g\"rid");
+        m.write(CpuId(0), r.addr(0));
+        m.read(CpuId(1), r.addr(0));
+        m.read(CpuId(2), r.addr(64));
+        assert_eq!(
+            insight_json(&m, 2),
+            "{\n\
+             \x20 \"clock\": 190,\n\
+             \x20 \"heatmap\": true,\n\
+             \x20 \"attributed_cycles\": 190,\n\
+             \x20 \"heat_partition_check\": true,\n\
+             \x20 \"touched_lines\": 2,\n\
+             \x20 \"totals\": {\"cycles\": {\"hit\": 0, \"local\": 110, \"gcb\": 0, \"sci\": 0, \"c2c\": 80, \"uncached\": 0}, \"accesses\": 3, \"local\": 2, \"gcb\": 0, \"sci\": 0, \"c2c\": 1, \"upgrades\": 1, \"inval_walks\": 0, \"uncached\": 0, \"dominant\": \"local\"},\n\
+             \x20 \"regions\": [\n\
+             \x20   {\"name\": \"g\\\"rid\", \"false_shared_lines\": 0, \"heat\": {\"cycles\": {\"hit\": 0, \"local\": 110, \"gcb\": 0, \"sci\": 0, \"c2c\": 80, \"uncached\": 0}, \"accesses\": 3, \"local\": 2, \"gcb\": 0, \"sci\": 0, \"c2c\": 1, \"upgrades\": 1, \"inval_walks\": 0, \"uncached\": 0, \"dominant\": \"local\"}}\n\
+             \x20 ],\n\
+             \x20 \"top_lines\": [\n\
+             \x20   {\"line\": 128, \"region\": \"g\\\"rid\", \"false_sharing\": false, \"heat\": {\"cycles\": {\"hit\": 0, \"local\": 55, \"gcb\": 0, \"sci\": 0, \"c2c\": 80, \"uncached\": 0}, \"accesses\": 2, \"local\": 1, \"gcb\": 0, \"sci\": 0, \"c2c\": 1, \"upgrades\": 1, \"inval_walks\": 0, \"uncached\": 0, \"dominant\": \"c2c\"}},\n\
+             \x20   {\"line\": 130, \"region\": \"g\\\"rid\", \"false_sharing\": false, \"heat\": {\"cycles\": {\"hit\": 0, \"local\": 55, \"gcb\": 0, \"sci\": 0, \"c2c\": 0, \"uncached\": 0}, \"accesses\": 1, \"local\": 1, \"gcb\": 0, \"sci\": 0, \"c2c\": 0, \"upgrades\": 0, \"inval_walks\": 0, \"uncached\": 0, \"dominant\": \"local\"}}\n\
+             \x20 ]\n\
+             }\n\
+             "
+        );
+        assert_eq!(
+            insight_json(&Machine::spp1000(1), 2),
+            "{\n\
+             \x20 \"clock\": 0,\n\
+             \x20 \"heatmap\": false\n\
+             }\n\
+             "
+        );
+    }
 
     #[test]
     fn service_level_classification_prefers_the_furthest_level() {

@@ -35,11 +35,13 @@
 
 use crate::config::NodeId;
 use crate::fault::HardFault;
+use crate::json::{json_escape, Json};
 use crate::latency::Cycles;
 use crate::machine::Machine;
 use crate::stats::MemStats;
 use crate::watchdog::StallKind;
 use std::collections::VecDeque;
+use std::fmt::Write;
 
 /// Sentinel CPU id for events not attributable to a single CPU
 /// (asynchronous GCB rollouts, link failures).
@@ -468,32 +470,6 @@ fn json_args(ev: &TraceEvent) -> String {
     }
 }
 
-/// Escape a string for embedding inside a JSON string literal:
-/// quotes, backslashes, and every control or non-ASCII character
-/// become escape sequences (`\uXXXX` with UTF-16 surrogate pairs for
-/// astral code points), so exporter output stays well-formed and
-/// byte-stable no matter what labels callers pick.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (' '..='\u{7e}').contains(&c) => out.push(c),
-            c => {
-                let mut units = [0u16; 2];
-                for u in c.encode_utf16(&mut units) {
-                    out.push_str(&format!("\\u{:04x}", u));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Export records as Chrome/Perfetto `trace_event` JSON (load the
 /// output directly in `ui.perfetto.dev` or `chrome://tracing`).
 ///
@@ -503,39 +479,7 @@ pub fn json_escape(s: &str) -> String {
 /// (`"i"`) event. Timestamps are simulated microseconds. The output
 /// is byte-deterministic for a deterministic record stream.
 pub fn perfetto_json(records: &[TraceRecord]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        // All built-in labels are plain ASCII, so escaping changes no
-        // bytes for them — it exists for externally supplied names.
-        let name = json_escape(r.event.label());
-        let args = json_args(&r.event);
-        match r.event {
-            TraceEvent::ForkSpan { dur, .. } => {
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{args}}}",
-                    ts_us(r.at),
-                    ts_us(dur),
-                    r.node,
-                    r.cpu
-                ));
-            }
-            _ => {
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{args}}}",
-                    ts_us(r.at),
-                    r.node,
-                    r.cpu
-                ));
-            }
-        }
-    }
-    out.push_str("\n]}\n");
-    out
+    perfetto_export(records, false)
 }
 
 /// Like [`perfetto_json`], with Perfetto counter (`"C"`) tracks
@@ -545,46 +489,45 @@ pub fn perfetto_json(records: &[TraceRecord]) -> String {
 /// so they render as machine-wide tracks above the per-node rows. A
 /// single pass, byte-deterministic for a deterministic record stream.
 pub fn perfetto_json_with_counters(records: &[TraceRecord]) -> String {
+    perfetto_export(records, true)
+}
+
+/// The one `trace_event` writer behind both exporters: one event per
+/// line in a space-free layout (these streams run to ~10^5 events),
+/// each record's counter event, when asked for, right after it.
+fn perfetto_export(records: &[TraceRecord], counters: bool) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
     let mut miss = [0u64; 4];
     let mut upgrades = 0u64;
-    let mut first = true;
-    let mut push = |out: &mut String, s: String| {
-        if !first {
+    for (i, r) in records.iter().enumerate() {
+        if i > 0 {
             out.push_str(",\n");
         }
-        first = false;
-        out.push_str(&s);
-    };
-    for r in records {
+        // All built-in labels are plain ASCII, so escaping changes no
+        // bytes for them — it exists for externally supplied names.
         let name = json_escape(r.event.label());
         let args = json_args(&r.event);
-        match r.event {
-            TraceEvent::ForkSpan { dur, .. } => {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                         \"pid\":{},\"tid\":{},\"args\":{args}}}",
-                        ts_us(r.at),
-                        ts_us(dur),
-                        r.node,
-                        r.cpu
-                    ),
-                );
-            }
-            _ => {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                         \"pid\":{},\"tid\":{},\"args\":{args}}}",
-                        ts_us(r.at),
-                        r.node,
-                        r.cpu
-                    ),
-                );
-            }
+        let _ = match r.event {
+            TraceEvent::ForkSpan { dur, .. } => write!(
+                out,
+                "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                 \"pid\":{},\"tid\":{},\"args\":{args}}}",
+                ts_us(r.at),
+                ts_us(dur),
+                r.node,
+                r.cpu
+            ),
+            _ => write!(
+                out,
+                "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
+                 \"pid\":{},\"tid\":{},\"args\":{args}}}",
+                ts_us(r.at),
+                r.node,
+                r.cpu
+            ),
+        };
+        if !counters {
+            continue;
         }
         let counter = match r.event {
             TraceEvent::Miss { kind, .. } => {
@@ -604,13 +547,11 @@ pub fn perfetto_json_with_counters(records: &[TraceRecord]) -> String {
             _ => None,
         };
         if let Some((track, value)) = counter {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{track}\",\"ph\":\"C\",\"ts\":{},\"pid\":255,\
-                     \"args\":{{\"count\":{value}}}}}",
-                    ts_us(r.at)
-                ),
+            let _ = write!(
+                out,
+                ",\n{{\"name\":\"{track}\",\"ph\":\"C\",\"ts\":{},\"pid\":255,\
+                 \"args\":{{\"count\":{value}}}}}",
+                ts_us(r.at)
             );
         }
     }
@@ -648,66 +589,48 @@ pub const MEMSTATS_FIELDS: [(&str, fn(&MemStats) -> u64); 21] = [
     ("recovery_retries", |s| s.recovery_retries),
 ];
 
-/// One `MemStats` as a flat JSON object (hand-rolled: the workspace
-/// has no serde). Fields come from [`MEMSTATS_FIELDS`], so the output
-/// always covers the whole struct.
-pub fn memstats_json(s: &MemStats) -> String {
-    let mut out = String::from("{");
-    for (i, (name, get)) in MEMSTATS_FIELDS.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": {}", name, get(s)));
-    }
-    out.push('}');
-    out
+/// One `MemStats` as a flat JSON object. Fields come from
+/// [`MEMSTATS_FIELDS`], so the output always covers the whole struct.
+pub fn memstats_json(s: &MemStats) -> Json {
+    Json::Obj(
+        MEMSTATS_FIELDS
+            .iter()
+            .map(|(name, get)| (name.to_string(), Json::from(get(s))))
+            .collect(),
+    )
 }
 
 /// Flat metrics snapshot of a machine as JSON: clock, global stats,
 /// the per-hypernode and per-CPU breakdowns, and (when a tracer is
 /// mounted) the per-kind event counts. Consumed by the repro binaries.
 pub fn metrics_json(m: &Machine) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"clock\": {},\n", m.clock()));
-    out.push_str(&format!("  \"global\": {},\n", memstats_json(&m.stats)));
-    out.push_str("  \"nodes\": [\n");
-    for n in 0..m.config().hypernodes {
-        let s = m.node_stats(NodeId(n as u8));
-        out.push_str(&format!(
-            "    {}{}\n",
-            memstats_json(&s),
-            if n + 1 < m.config().hypernodes {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n  \"cpus\": [\n");
-    let per_cpu = m.per_cpu_stats();
-    for (c, s) in per_cpu.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            memstats_json(s),
-            if c + 1 < per_cpu.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]");
+    let mut doc = Json::obj()
+        .with("clock", m.clock())
+        .with("global", memstats_json(&m.stats))
+        .with(
+            "nodes",
+            (0..m.config().hypernodes)
+                .map(|n| memstats_json(&m.node_stats(NodeId(n as u8))))
+                .collect::<Json>(),
+        )
+        .with(
+            "cpus",
+            m.per_cpu_stats()
+                .iter()
+                .map(memstats_json)
+                .collect::<Json>(),
+        );
     if let Some(t) = m.tracer() {
-        let counts = t.counts();
-        out.push_str(",\n  \"events\": {");
-        for (i, c) in counts.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{}\": {}{}",
-                TraceEvent::kind_label(i),
-                c,
-                if i + 1 < counts.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!("}},\n  \"events_dropped\": {}", t.dropped()));
+        let events = t
+            .counts()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (TraceEvent::kind_label(i).to_string(), Json::from(*c)))
+            .collect();
+        doc.push("events", Json::Obj(events));
+        doc.push("events_dropped", t.dropped());
     }
-    out.push_str("\n}\n");
-    out
+    doc.report()
 }
 
 /// A human `spp-top`-style summary: per-hypernode and per-CPU miss
@@ -784,6 +707,63 @@ pub fn record(at: Cycles, cpu: u16, node: u8, event: TraceEvent) -> TraceRecord 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn metrics_json_bytes_are_pinned() {
+        use crate::{CpuId, MemClass};
+        let mut m = Machine::spp1000(1).with_tracing();
+        let r = m.alloc(MemClass::FarShared, 4096);
+        m.write(CpuId(0), r.addr(0));
+        m.read(CpuId(1), r.addr(0));
+        assert_eq!(
+            memstats_json(&m.stats).compact(),
+            "{\"reads\": 1, \"writes\": 1, \"hits\": 0, \"local_misses\": 1, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 1, \"upgrades\": 1, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0}"
+        );
+        assert_eq!(
+            metrics_json(&m),
+            "{\n\
+             \x20 \"clock\": 135,\n\
+             \x20 \"global\": {\"reads\": 1, \"writes\": 1, \"hits\": 0, \"local_misses\": 1, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 1, \"upgrades\": 1, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20 \"nodes\": [\n\
+             \x20   {\"reads\": 1, \"writes\": 1, \"hits\": 0, \"local_misses\": 1, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 1, \"upgrades\": 1, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0}\n\
+             \x20 ],\n\
+             \x20 \"cpus\": [\n\
+             \x20   {\"reads\": 0, \"writes\": 1, \"hits\": 0, \"local_misses\": 1, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 1, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 1, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 1, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0}\n\
+             \x20 ],\n\
+             \x20 \"events\": {\"miss-local\": 1, \"miss-gcb\": 0, \"miss-sci\": 0, \"miss-c2c\": 1, \"upgrade\": 1, \"sci-inval-walk\": 0, \"gcb-rollout\": 0, \"barrier-arrive\": 0, \"barrier-release\": 0, \"fork-span\": 0, \"pvm-send\": 0, \"pvm-recv\": 0, \"pvm-retry\": 0, \"hard-fault\": 0, \"watchdog\": 0, \"snoop\": 0, \"update\": 0, \"transient-fault\": 0, \"recovery\": 0, \"straggler\": 0, \"heartbeat\": 0},\n\
+             \x20 \"events_dropped\": 0\n\
+             }\n\
+             "
+        );
+        assert_eq!(
+            metrics_json(&Machine::spp1000(1)),
+            "{\n\
+             \x20 \"clock\": 0,\n\
+             \x20 \"global\": {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20 \"nodes\": [\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0}\n\
+             \x20 ],\n\
+             \x20 \"cpus\": [\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0},\n\
+             \x20   {\"reads\": 0, \"writes\": 0, \"hits\": 0, \"local_misses\": 0, \"gcb_hits\": 0, \"sci_fetches\": 0, \"remote_dirty_fetches\": 0, \"c2c_transfers\": 0, \"upgrades\": 0, \"invalidations\": 0, \"sci_invalidations\": 0, \"evictions\": 0, \"writebacks\": 0, \"gcb_rollouts\": 0, \"uncached_ops\": 0, \"ring_stalls\": 0, \"link_reroutes\": 0, \"snoops\": 0, \"updates\": 0, \"recoveries\": 0, \"recovery_retries\": 0}\n\
+             \x20 ]\n\
+             }\n\
+             "
+        );
+    }
 
     fn rec(at: Cycles, ev: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -888,18 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_quotes_controls_and_non_ascii() {
-        assert_eq!(json_escape("plain-ascii_42"), "plain-ascii_42");
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("café"), "caf\\u00e9");
-        // Astral code point: UTF-16 surrogate pair.
-        assert_eq!(json_escape("𝕏"), "\\ud835\\udd4f");
-    }
-
-    #[test]
     fn exporters_cover_every_memstats_field() {
         // Exhaustive destructuring: adding a MemStats field without
         // updating this test (and MEMSTATS_FIELDS) fails to compile.
@@ -986,12 +954,79 @@ mod tests {
         let m = Machine::spp1000(1);
         let top = spp_top(&m);
         for (name, _) in MEMSTATS_FIELDS.iter() {
-            assert!(
-                json.contains(&format!("\"{name}\": ")),
-                "{name} not in json"
-            );
+            assert!(json.get(name).is_some(), "{name} not in json");
             assert!(top.contains(&format!(" {name}=")), "{name} not in spp_top");
         }
+    }
+
+    #[test]
+    fn perfetto_bytes_are_pinned() {
+        let rec = |at, cpu, event| TraceRecord {
+            at,
+            cpu,
+            node: 1,
+            event,
+        };
+        let records = vec![
+            rec(
+                10,
+                3,
+                TraceEvent::Miss {
+                    kind: MissKind::Sci,
+                    line: 1,
+                },
+            ),
+            rec(20, 3, TraceEvent::Upgrade { line: 1 }),
+            rec(
+                125,
+                65535,
+                TraceEvent::ForkSpan {
+                    threads: 4,
+                    dur: 250,
+                },
+            ),
+            rec(
+                130,
+                2,
+                TraceEvent::Miss {
+                    kind: MissKind::Local,
+                    line: 2,
+                },
+            ),
+            rec(140, 2, TraceEvent::BarrierArrive),
+        ];
+        assert_eq!(
+            perfetto_json(&records),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\
+             {\"name\":\"miss-sci\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.10,\"pid\":1,\"tid\":3,\"args\":{\"kind\":\"sci\",\"line\":1}},\n\
+             {\"name\":\"upgrade\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.20,\"pid\":1,\"tid\":3,\"args\":{\"line\":1}},\n\
+             {\"name\":\"fork-span\",\"ph\":\"X\",\"ts\":1.25,\"dur\":2.50,\"pid\":1,\"tid\":65535,\"args\":{\"threads\":4,\"dur_cycles\":250}},\n\
+             {\"name\":\"miss-local\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.30,\"pid\":1,\"tid\":2,\"args\":{\"kind\":\"local\",\"line\":2}},\n\
+             {\"name\":\"barrier-arrive\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.40,\"pid\":1,\"tid\":2,\"args\":{}}\n\
+             ]}\n\
+             "
+        );
+        assert_eq!(
+            perfetto_json_with_counters(&records),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\
+             {\"name\":\"miss-sci\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.10,\"pid\":1,\"tid\":3,\"args\":{\"kind\":\"sci\",\"line\":1}},\n\
+             {\"name\":\"miss-sci\",\"ph\":\"C\",\"ts\":0.10,\"pid\":255,\"args\":{\"count\":1}},\n\
+             {\"name\":\"upgrade\",\"ph\":\"i\",\"s\":\"t\",\"ts\":0.20,\"pid\":1,\"tid\":3,\"args\":{\"line\":1}},\n\
+             {\"name\":\"upgrades\",\"ph\":\"C\",\"ts\":0.20,\"pid\":255,\"args\":{\"count\":1}},\n\
+             {\"name\":\"fork-span\",\"ph\":\"X\",\"ts\":1.25,\"dur\":2.50,\"pid\":1,\"tid\":65535,\"args\":{\"threads\":4,\"dur_cycles\":250}},\n\
+             {\"name\":\"miss-local\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.30,\"pid\":1,\"tid\":2,\"args\":{\"kind\":\"local\",\"line\":2}},\n\
+             {\"name\":\"miss-local\",\"ph\":\"C\",\"ts\":1.30,\"pid\":255,\"args\":{\"count\":1}},\n\
+             {\"name\":\"barrier-arrive\",\"ph\":\"i\",\"s\":\"t\",\"ts\":1.40,\"pid\":1,\"tid\":2,\"args\":{}}\n\
+             ]}\n\
+             "
+        );
+        assert_eq!(
+            perfetto_json_with_counters(&[]),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\
+             \n\
+             ]}\n\
+             "
+        );
     }
 
     #[test]

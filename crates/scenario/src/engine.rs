@@ -22,16 +22,35 @@
 
 use crate::spec::{Expectation, ExperimentOpts, GoldenSpec, ScenarioKind, ScenarioSpec};
 use crate::workload::{run_builtin, run_workload, CheckpointPaths, WorkloadOutcome};
-use spp_core::{
-    json_escape, CancelToken, HostSupervisor, JsonlAppender, JsonlRead, MemStats, Supervised,
-};
+use spp_core::json::Json;
+use spp_core::{CancelToken, HostSupervisor, JsonlAppender, JsonlRead, MemStats, Supervised};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Report schema of `BENCH_scenarios.json`.
+/// Schema version of every `BENCH_*.json` report; bump on breaking
+/// layout changes so downstream tooling can dispatch.
 pub const REPORT_SCHEMA: i64 = 1;
+
+/// The head every `BENCH_*.json` report starts with: the schema
+/// version and the experiment that wrote it.
+pub fn report_head(experiment: &str) -> Json {
+    Json::obj()
+        .with("schema_version", REPORT_SCHEMA)
+        .with("experiment", experiment)
+}
+
+/// Write `doc` in the report layout to `dir/name` (the directory is
+/// created if needed) atomically, so a byte-pin gate never reads a
+/// torn report. Returns the file's path. Every `BENCH_*.json` is
+/// written here.
+pub fn write_report(dir: &Path, name: &str, doc: &Json) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(name);
+    spp_core::atomic_write_str(&path, &doc.report())?;
+    Ok(path)
+}
 
 /// A registered experiment runner: the experiments are injected by
 /// the caller (the bench crate) so the engine does not depend on
@@ -216,22 +235,22 @@ impl HeartbeatLog {
         quarantined: Option<bool>,
         error: Option<&str>,
     ) {
-        let wall_ms = self.t0.elapsed().as_millis();
-        let mut line = format!(
-            "{{\"cell\": \"{}\", \"event\": \"{event}\", \"state\": \"{state}\", \
-             \"attempt\": {attempt}, \"retries\": {retries}, \
-             \"progress_cycles\": {progress}, \"wall_ms\": {wall_ms}",
-            json_escape(cell)
-        );
+        let mut line = Json::obj()
+            .with("cell", cell)
+            .with("event", event)
+            .with("state", state)
+            .with("attempt", attempt)
+            .with("retries", retries)
+            .with("progress_cycles", progress)
+            .with("wall_ms", self.t0.elapsed().as_millis());
         if let Some(q) = quarantined {
-            line.push_str(&format!(", \"quarantined\": {q}"));
+            line.push("quarantined", q);
         }
         if let Some(e) = error {
-            line.push_str(&format!(", \"error\": \"{}\"", json_escape(e)));
+            line.push("error", e);
         }
-        line.push('}');
         if let Ok(mut f) = self.file.lock() {
-            let _ = f.append(&line);
+            let _ = f.append(&line.compact());
         }
     }
 }
@@ -567,73 +586,58 @@ impl FleetReport {
     /// Deterministic JSON for `BENCH_scenarios.json`: spec order, no
     /// host wall-clock, stable field order — two identical fleets
     /// produce byte-identical files.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema_version\": {REPORT_SCHEMA},\n"));
-        s.push_str("  \"experiment\": \"scenarios\",\n");
+    pub fn to_json(&self) -> Json {
         let (p, f, t, g, q) = self.counts();
-        s.push_str(&format!(
-            "  \"summary\": {{\"total\": {}, \"pass\": {p}, \"fail\": {f}, \"timeout\": {t}, \"golden_mismatch\": {g}, \"quarantined\": {q}, \"all_as_expected\": {}}},\n",
-            self.results.len(),
-            self.all_as_expected()
-        ));
-        s.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", json_escape(&r.name)));
-            s.push_str(&format!("\"status\": \"{}\", ", r.status.label()));
-            s.push_str(&format!("\"attempts\": {}, ", r.attempts));
-            s.push_str(&format!("\"as_expected\": {}, ", r.as_expected));
-            s.push_str(&format!("\"quarantined\": {}, ", r.quarantined));
-            s.push_str(&format!("\"resumed\": {}", r.resumed));
-            match &r.status {
-                Status::Fail { error } => {
-                    s.push_str(&format!(", \"error\": \"{}\"", json_escape(error)));
-                }
-                Status::GoldenMismatch { diffs } => {
-                    s.push_str(", \"golden_diffs\": [");
-                    for (j, (field, want, got)) in diffs.iter().enumerate() {
-                        if j > 0 {
-                            s.push_str(", ");
-                        }
-                        s.push_str(&format!(
-                            "{{\"field\": \"{field}\", \"expected\": {want}, \"got\": {got}}}"
-                        ));
-                    }
-                    s.push(']');
-                }
-                _ => {}
-            }
-            if let Some(out) = &r.outcome {
-                s.push_str(&format!(
-                    ", \"cycles\": {}, \"reads\": {}, \"writes\": {}, \"hits\": {}, \"sci_fetches\": {}, \"ring_stalls\": {}, \"uncached_ops\": {}",
-                    out.cycles,
-                    out.stats.reads,
-                    out.stats.writes,
-                    out.stats.hits,
-                    out.stats.sci_fetches,
-                    out.stats.ring_stalls,
-                    out.stats.uncached_ops,
-                ));
-                // Appended only when nonzero so pre-recovery reports
-                // stay byte-identical.
-                if out.stats.recoveries > 0 || out.rollbacks > 0 {
-                    s.push_str(&format!(
-                        ", \"recoveries\": {}, \"rollbacks\": {}",
-                        out.stats.recoveries, out.rollbacks
-                    ));
-                }
-            }
-            s.push('}');
-            if i + 1 < self.results.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let summary = Json::obj()
+            .with("total", self.results.len())
+            .with("pass", p)
+            .with("fail", f)
+            .with("timeout", t)
+            .with("golden_mismatch", g)
+            .with("quarantined", q)
+            .with("all_as_expected", self.all_as_expected());
+        let results: Json = self.results.iter().map(result_json).collect();
+        report_head("scenarios")
+            .with("summary", summary)
+            .with("results", results)
     }
+}
+
+/// One `results` row of `BENCH_scenarios.json`.
+fn result_json(r: &ScenarioResult) -> Json {
+    let mut row = Json::obj()
+        .with("name", &r.name)
+        .with("status", r.status.label())
+        .with("attempts", r.attempts)
+        .with("as_expected", r.as_expected)
+        .with("quarantined", r.quarantined)
+        .with("resumed", r.resumed);
+    match &r.status {
+        Status::Fail { error } => row.push("error", error),
+        Status::GoldenMismatch { diffs } => {
+            let diffs: Json = diffs
+                .iter()
+                .map(|(field, want, got)| {
+                    Json::obj()
+                        .with("field", field)
+                        .with("expected", *want)
+                        .with("got", *got)
+                })
+                .collect();
+            row.push("golden_diffs", diffs);
+        }
+        _ => {}
+    }
+    if let Some(out) = &r.outcome {
+        row = out.with_observables(row);
+        // Appended only when nonzero so pre-recovery reports stay
+        // byte-identical.
+        if out.stats.recoveries > 0 || out.rollbacks > 0 {
+            row.push("recoveries", out.stats.recoveries);
+            row.push("rollbacks", out.rollbacks);
+        }
+    }
+    row
 }
 
 #[cfg(test)]
@@ -722,8 +726,12 @@ mod tests {
             ScenarioSpec::workload("k64", WorkloadApp::KernelStream { elems: 64 }),
             ScenarioSpec::builtin("nop", BuiltinOp::Noop),
         ];
-        let a = run_fleet(&specs, &Registry::new(), &FleetConfig::default()).to_json();
-        let b = run_fleet(&specs, &Registry::new(), &FleetConfig::default()).to_json();
+        let a = run_fleet(&specs, &Registry::new(), &FleetConfig::default())
+            .to_json()
+            .report();
+        let b = run_fleet(&specs, &Registry::new(), &FleetConfig::default())
+            .to_json()
+            .report();
         assert_eq!(a, b);
         assert!(a.contains("\"schema_version\": 1"));
     }
@@ -749,14 +757,16 @@ mod tests {
             ScenarioSpec::builtin("nop", BuiltinOp::Noop),
         ];
 
-        let silent = run_fleet(&specs, &Registry::new(), &FleetConfig::default()).to_json();
+        let silent = run_fleet(&specs, &Registry::new(), &FleetConfig::default())
+            .to_json()
+            .report();
         let cfg = FleetConfig {
             heartbeat_path: Some(hb_path.clone()),
             ..FleetConfig::default()
         };
         let observed = run_fleet(&specs, &Registry::new(), &cfg);
         // Telemetry never perturbs the deterministic report.
-        assert_eq!(observed.to_json(), silent);
+        assert_eq!(observed.to_json().report(), silent);
 
         let stream = std::fs::read_to_string(&hb_path).unwrap();
         let lines: Vec<&str> = stream.lines().collect();
@@ -777,8 +787,8 @@ mod tests {
             lines
                 .iter()
                 .filter(|l| {
-                    l.contains(&format!("\"cell\": \"{cell}\""))
-                        && l.contains(&format!("\"event\": \"{event}\""))
+                    let v = spp_core::json::parse(l).unwrap();
+                    v.str_field("cell") == Some(cell) && v.str_field("event") == Some(event)
                 })
                 .collect()
         };
@@ -823,7 +833,9 @@ mod tests {
             heartbeat_path: Some(hb_path.clone()),
             ..FleetConfig::default()
         };
-        let json = run_fleet(&[cell], &Registry::new(), &cfg).to_json();
+        let json = run_fleet(&[cell], &Registry::new(), &cfg)
+            .to_json()
+            .report();
         let stream = std::fs::read_to_string(&hb_path).unwrap();
         assert!(
             json.contains("tab\\there, start-of-heading \\u0001"),
@@ -890,7 +902,7 @@ mod tests {
         assert_eq!(cols[2], "2", "attempts column: {row}");
         assert_eq!(cols[3], "1", "retries column: {row}");
         // Host wall-clock stays out of the byte-stable JSON.
-        let json = report.to_json();
+        let json = report.to_json().report();
         assert!(!json.contains("secs"), "{json}");
         assert!(!json.contains("wall_ms"), "{json}");
     }
@@ -931,7 +943,97 @@ mod tests {
             \x20   {\"name\": \"alpha\", \"status\": \"pass\", \"attempts\": 1, \"as_expected\": true, \"quarantined\": false, \"resumed\": false},\n\
             \x20   {\"name\": \"beta\", \"status\": \"fail\", \"attempts\": 3, \"as_expected\": false, \"quarantined\": true, \"resumed\": false, \"error\": \"boom\"}\n\
             \x20 ]\n}\n";
-        assert_eq!(report.to_json(), expected);
+        assert_eq!(report.to_json().report(), expected);
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned_for_outcomes_and_golden_diffs() {
+        let outcome = |recoveries, rollbacks| WorkloadOutcome {
+            cycles: 900,
+            stats: MemStats {
+                reads: 1,
+                writes: 2,
+                hits: 3,
+                sci_fetches: 4,
+                ring_stalls: 5,
+                uncached_ops: 6,
+                recoveries,
+                ..MemStats::default()
+            },
+            steps_run: 2,
+            resumed_from: Some(1),
+            checkpoints_written: 1,
+            rollbacks,
+        };
+        let result = |name: &str, status, outcome| ScenarioResult {
+            name: name.into(),
+            status,
+            attempts: 2,
+            quarantined: false,
+            as_expected: true,
+            outcome: Some(outcome),
+            resumed: true,
+            host_secs: 1.0,
+        };
+        let report = FleetReport {
+            results: vec![
+                result(
+                    "g\u{e9}m",
+                    Status::GoldenMismatch {
+                        diffs: vec![("cycles".into(), 800, 900), ("hits".into(), 2, 3)],
+                    },
+                    outcome(0, 0),
+                ),
+                result("rec", Status::Pass, outcome(7, 1)),
+                result("t", Status::Timeout, outcome(0, 0)),
+            ],
+        };
+        let expected = "{\n\
+            \x20 \"schema_version\": 1,\n\
+            \x20 \"experiment\": \"scenarios\",\n\
+            \x20 \"summary\": {\"total\": 3, \"pass\": 1, \"fail\": 0, \"timeout\": 1, \"golden_mismatch\": 1, \"quarantined\": 0, \"all_as_expected\": true},\n\
+            \x20 \"results\": [\n\
+            \x20   {\"name\": \"g\\u00e9m\", \"status\": \"golden-mismatch\", \"attempts\": 2, \"as_expected\": true, \"quarantined\": false, \"resumed\": true, \"golden_diffs\": [{\"field\": \"cycles\", \"expected\": 800, \"got\": 900}, {\"field\": \"hits\", \"expected\": 2, \"got\": 3}], \"cycles\": 900, \"reads\": 1, \"writes\": 2, \"hits\": 3, \"sci_fetches\": 4, \"ring_stalls\": 5, \"uncached_ops\": 6},\n\
+            \x20   {\"name\": \"rec\", \"status\": \"pass\", \"attempts\": 2, \"as_expected\": true, \"quarantined\": false, \"resumed\": true, \"cycles\": 900, \"reads\": 1, \"writes\": 2, \"hits\": 3, \"sci_fetches\": 4, \"ring_stalls\": 5, \"uncached_ops\": 6, \"recoveries\": 7, \"rollbacks\": 1},\n\
+            \x20   {\"name\": \"t\", \"status\": \"timeout\", \"attempts\": 2, \"as_expected\": true, \"quarantined\": false, \"resumed\": true, \"cycles\": 900, \"reads\": 1, \"writes\": 2, \"hits\": 3, \"sci_fetches\": 4, \"ring_stalls\": 5, \"uncached_ops\": 6}\n\
+            \x20 ]\n}\n";
+        assert_eq!(report.to_json().report(), expected);
+        let empty = FleetReport {
+            results: Vec::new(),
+        };
+        assert!(empty
+            .to_json()
+            .report()
+            .ends_with("\"results\": [\n  ]\n}\n"));
+    }
+
+    #[test]
+    fn heartbeat_line_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("spp-hb-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hb.jsonl");
+        let log = HeartbeatLog::create(&path).unwrap();
+        log.emit("c\"1", "start", "running", 1, 0, 0, None, None);
+        log.emit("c\"1", "end", "fail", 3, 2, 77, Some(true), Some("boom\tx"));
+        let lines = read_heartbeat_stream(&path).unwrap().lines;
+        // wall_ms is the one host-clock field; blank its digits.
+        let lines: Vec<String> = lines
+            .iter()
+            .map(|l| {
+                let key = "\"wall_ms\": ";
+                let at = l.find(key).unwrap() + key.len();
+                let end = at + l[at..].bytes().take_while(u8::is_ascii_digit).count();
+                format!("{}W{}", &l[..at], &l[end..])
+            })
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "{\"cell\": \"c\\\"1\", \"event\": \"start\", \"state\": \"running\", \"attempt\": 1, \"retries\": 0, \"progress_cycles\": 0, \"wall_ms\": W}",
+                "{\"cell\": \"c\\\"1\", \"event\": \"end\", \"state\": \"fail\", \"attempt\": 3, \"retries\": 2, \"progress_cycles\": 77, \"wall_ms\": W, \"quarantined\": true, \"error\": \"boom\\tx\"}",
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub mod toml;
 pub mod workload;
 
 pub use engine::{
-    read_heartbeat_stream, run_attempt, run_fleet, ExperimentFn, FleetConfig, FleetReport,
-    Registry, ScenarioResult, Status, REPORT_SCHEMA,
+    read_heartbeat_stream, report_head, run_attempt, run_fleet, write_report, ExperimentFn,
+    FleetConfig, FleetReport, Registry, ScenarioResult, Status, REPORT_SCHEMA,
 };
 pub use spec::{
     BuiltinOp, Expectation, ExperimentOpts, ExperimentSpec, GoldenSpec, PlacementPolicy,

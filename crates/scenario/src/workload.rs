@@ -14,6 +14,7 @@ use nbody::{NbodyProblem, SharedNbody};
 use pic::pvm::PvmPic;
 use pic::{PicProblem, SharedPic};
 use ppm::{PpmProblem, SharedPpm};
+use spp_core::json::Json;
 use spp_core::{
     CancelToken, CpuId, FaultPlan, Machine, MachineConfig, MemClass, MemStats, RingSink, SimError,
     Snapshot,
@@ -39,6 +40,21 @@ pub struct WorkloadOutcome {
     /// Checkpoint rollbacks performed in-run after a transient
     /// coherence fault exhausted its scrub budget.
     pub rollbacks: u32,
+}
+
+impl WorkloadOutcome {
+    /// `doc` with the outcome's replay-stable observables appended:
+    /// simulated cycles and the headline memory-system counters, the
+    /// fields every report and result line carries.
+    pub fn with_observables(&self, doc: Json) -> Json {
+        doc.with("cycles", self.cycles)
+            .with("reads", self.stats.reads)
+            .with("writes", self.stats.writes)
+            .with("hits", self.stats.hits)
+            .with("sci_fetches", self.stats.sci_fetches)
+            .with("ring_stalls", self.stats.ring_stalls)
+            .with("uncached_ops", self.stats.uncached_ops)
+    }
 }
 
 /// The checkpoint pair for a scenario: the SPPSNAP1 machine image and

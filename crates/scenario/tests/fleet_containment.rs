@@ -170,7 +170,7 @@ fn fleet_reports_are_deterministic_across_runs_and_worker_counts() {
     // Wall-clock seconds vary run to run; the JSON deliberately
     // excludes them, so the reports must be byte-identical even
     // across different worker counts.
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(a.to_json().report(), b.to_json().report());
 }
 
 #[test]

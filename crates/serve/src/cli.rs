@@ -2,8 +2,8 @@
 //! runs the service; the other verbs are thin protocol clients.
 
 use crate::client::{endpoint_of, request};
-use crate::json::{esc, parse};
 use crate::server::{ServeConfig, Server};
+use spp_core::json::{parse, Json};
 use spp_scenario::Registry;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -181,13 +181,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                         continue;
                     }
                 };
-                let req = format!(
-                    "{{\"cmd\": \"submit\", \"priority\": \"{}\", \"deadline_ms\": {}, \
-                     \"spec\": \"{}\"}}",
-                    esc(&p.priority),
-                    p.deadline_ms,
-                    esc(&text)
-                );
+                let req = submit_request(&p.priority, p.deadline_ms, &text);
                 match request(&addr, &req) {
                     Ok(reply) => {
                         println!("{reply}");
@@ -213,8 +207,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                 eprintln!("spp serve: {cmd} needs a job id");
                 return 2;
             };
-            let req = format!("{{\"cmd\": \"{cmd}\", \"job\": \"{}\"}}", esc(job));
-            match request(&addr, &req) {
+            match request(&addr, &job_request(cmd, job)) {
                 Ok(reply) => {
                     println!("{reply}");
                     i32::from(!reply_ok(&reply))
@@ -237,8 +230,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                 eprintln!("spp serve: result needs a job id");
                 return 2;
             };
-            let req = format!("{{\"cmd\": \"result\", \"job\": \"{}\"}}", esc(job));
-            match request(&addr, &req) {
+            match request(&addr, &job_request("result", job)) {
                 Ok(reply) => match parse(&reply) {
                     Ok(v) if v.bool_field("ok") == Some(true) => {
                         // Print the raw result line alone: it contains
@@ -266,8 +258,7 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
                     return 2;
                 }
             };
-            let req = format!("{{\"cmd\": \"{cmd}\"}}");
-            match request(&addr, &req) {
+            match request(&addr, &Json::obj().with("cmd", cmd).compact()) {
                 Ok(reply) => {
                     println!("{reply}");
                     i32::from(!reply_ok(&reply))
@@ -286,6 +277,21 @@ pub fn serve_main(args: &[String], registry: Registry) -> i32 {
     }
 }
 
+/// The `submit` request line for one spec file's text.
+fn submit_request(priority: &str, deadline_ms: u64, spec: &str) -> String {
+    Json::obj()
+        .with("cmd", "submit")
+        .with("priority", priority)
+        .with("deadline_ms", deadline_ms)
+        .with("spec", spec)
+        .compact()
+}
+
+/// The request line of a command that names one job.
+fn job_request(cmd: &str, job: &str) -> String {
+    Json::obj().with("cmd", cmd).with("job", job).compact()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +308,19 @@ mod tests {
         assert_eq!(p.rest, ["spec.toml"]);
         assert!(parse_args(&["--bogus".to_string()]).is_err());
         assert!(parse_args(&["--workers".to_string()]).is_err());
+    }
+
+    #[test]
+    fn request_line_bytes_are_pinned() {
+        assert_eq!(
+            submit_request("high", 250, "name = \"x\"\n"),
+            "{\"cmd\": \"submit\", \"priority\": \"high\", \"deadline_ms\": 250, \
+             \"spec\": \"name = \\\"x\\\"\\n\"}"
+        );
+        assert_eq!(
+            job_request("status", "j\"1"),
+            "{\"cmd\": \"status\", \"job\": \"j\\\"1\"}"
+        );
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! the journal. A crash between the two replays old records onto the
 //! new snapshot, which the idempotent fold absorbs.
 
-use crate::json::{esc, parse, Json};
 use crate::queue::Priority;
+use spp_core::json::{parse, Json};
 use spp_core::JsonlAppender;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -85,33 +85,22 @@ pub enum Record {
 impl Record {
     /// The single-line JSON form appended to the journal.
     pub fn to_line(&self) -> String {
-        match self {
+        let head = |ev: &str, job: &str| Json::obj().with("ev", ev).with("job", job);
+        let line = match self {
             Record::Submit {
                 job,
                 digest,
                 priority,
                 deadline_ms,
                 spec,
-            } => format!(
-                "{{\"ev\": \"submit\", \"job\": \"{}\", \"digest\": \"{}\", \
-                 \"priority\": \"{}\", \"deadline_ms\": {}, \"spec\": \"{}\"}}",
-                esc(job),
-                esc(digest),
-                priority.label(),
-                deadline_ms,
-                esc(spec)
-            ),
-            Record::Start { job, attempt } => format!(
-                "{{\"ev\": \"start\", \"job\": \"{}\", \"attempt\": {}}}",
-                esc(job),
-                attempt
-            ),
-            Record::Preempt { job } => {
-                format!("{{\"ev\": \"preempt\", \"job\": \"{}\"}}", esc(job))
-            }
-            Record::Cancel { job } => {
-                format!("{{\"ev\": \"cancel\", \"job\": \"{}\"}}", esc(job))
-            }
+            } => head("submit", job)
+                .with("digest", digest)
+                .with("priority", priority.label())
+                .with("deadline_ms", *deadline_ms)
+                .with("spec", spec),
+            Record::Start { job, attempt } => head("start", job).with("attempt", *attempt),
+            Record::Preempt { job } => head("preempt", job),
+            Record::Cancel { job } => head("cancel", job),
             Record::End {
                 job,
                 state,
@@ -120,24 +109,20 @@ impl Record {
                 attempts,
                 resumed,
             } => {
-                let mut line = format!(
-                    "{{\"ev\": \"end\", \"job\": \"{}\", \"state\": \"{}\", \
-                     \"attempts\": {}, \"resumed\": {}",
-                    esc(job),
-                    esc(state),
-                    attempts,
-                    resumed
-                );
+                let mut line = head("end", job)
+                    .with("state", state)
+                    .with("attempts", *attempts)
+                    .with("resumed", *resumed);
                 if let Some(r) = result {
-                    line.push_str(&format!(", \"result\": \"{}\"", esc(r)));
+                    line.push("result", r);
                 }
                 if let Some(e) = error {
-                    line.push_str(&format!(", \"error\": \"{}\"", esc(e)));
+                    line.push("error", e);
                 }
-                line.push('}');
                 line
             }
-        }
+        };
+        line.compact()
     }
 
     /// Parse one journal line back into a record.
@@ -297,6 +282,50 @@ mod tests {
             deadline_ms: 250,
             spec: "schema = 1\n[scenario]\nname = \"x\"\n".to_string(),
         }
+    }
+
+    #[test]
+    fn record_line_bytes_are_pinned() {
+        let j = || "j1".to_string();
+        let lines: Vec<String> = [
+            submit("j1"),
+            Record::Start {
+                job: j(),
+                attempt: 2,
+            },
+            Record::Preempt { job: j() },
+            Record::Cancel { job: j() },
+            Record::End {
+                job: j(),
+                state: "failed".to_string(),
+                result: Some("{\"a\": 1}".to_string()),
+                error: Some("boom\n".to_string()),
+                attempts: 3,
+                resumed: true,
+            },
+            Record::End {
+                job: j(),
+                state: "done".to_string(),
+                result: None,
+                error: None,
+                attempts: 1,
+                resumed: false,
+            },
+        ]
+        .iter()
+        .map(Record::to_line)
+        .collect();
+        assert_eq!(
+            lines,
+            [
+                "{\"ev\": \"submit\", \"job\": \"j1\", \"digest\": \"00ff00ff00ff00ff\", \"priority\": \"high\", \"deadline_ms\": 250, \"spec\": \"schema = 1\\n[scenario]\\nname = \\\"x\\\"\\n\"}",
+                "{\"ev\": \"start\", \"job\": \"j1\", \"attempt\": 2}",
+                "{\"ev\": \"preempt\", \"job\": \"j1\"}",
+                "{\"ev\": \"cancel\", \"job\": \"j1\"}",
+                "{\"ev\": \"end\", \"job\": \"j1\", \"state\": \"failed\", \"attempts\": 3, \"resumed\": true, \"result\": \"{\\\"a\\\": 1}\", \"error\": \"boom\\n\"}",
+                "{\"ev\": \"end\", \"job\": \"j1\", \"state\": \"done\", \"attempts\": 1, \"resumed\": false}",
+            ]
+        );
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!
 //! The wire protocol ([`client`]) is dependency-light std-net TCP:
 //! one JSON line request, one JSON line reply, connection per
-//! exchange. Commands: `submit`, `status`, `result`, `cancel`,
+//! exchange, every line built and parsed by the workspace's one JSON
+//! layer, [`spp_core::json`]. Commands: `submit`, `status`, `result`, `cancel`,
 //! `health`, `drain`, `shutdown`. The `spp` binary (in `spp-bench`,
 //! which owns the experiment registry) hands those verbs to
 //! [`cli::serve_main`].
@@ -42,7 +43,6 @@ pub mod cache;
 pub mod cli;
 pub mod client;
 pub mod journal;
-pub mod json;
 pub mod queue;
 pub mod server;
 
@@ -50,6 +50,13 @@ pub use cache::{code_version, ResultCache};
 pub use cli::serve_main;
 pub use client::{endpoint_of, request};
 pub use journal::{Journal, Record, Replay};
-pub use json::{parse, Json};
 pub use queue::{AdmissionError, AdmissionQueue, Priority};
 pub use server::{JobState, ServeConfig, Server};
+pub use spp_core::json::{parse, Json};
+
+/// The workspace JSON layer ([`spp_core::json`]) under the path the
+/// service's clients import it from.
+pub mod json {
+    pub use spp_core::json::json_escape as esc;
+    pub use spp_core::json::*;
+}

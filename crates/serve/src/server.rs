@@ -15,8 +15,8 @@
 
 use crate::cache::{code_version, ResultCache};
 use crate::journal::{Journal, Record};
-use crate::json::{esc, parse};
 use crate::queue::{AdmissionQueue, Priority};
+use spp_core::json::{parse, Json};
 use spp_core::{retry_backoff, CancelToken};
 use spp_scenario::{
     run_attempt, CheckpointPaths, Registry, ScenarioKind, ScenarioSpec, Status, WorkloadOutcome,
@@ -206,43 +206,44 @@ fn result_line(digest: &str, status: &Status, outcome: Option<&WorkloadOutcome>)
         Status::GoldenMismatch { .. } => "golden-mismatch",
         _ => "pass",
     };
-    let mut s = format!("{{\"digest\": \"{digest}\", \"status\": \"{label}\"");
+    let mut line = Json::obj().with("digest", digest).with("status", label);
     if let Some(o) = outcome {
-        s.push_str(&format!(
-            ", \"cycles\": {}, \"reads\": {}, \"writes\": {}, \"hits\": {}, \
-             \"sci_fetches\": {}, \"ring_stalls\": {}, \"uncached_ops\": {}",
-            o.cycles,
-            o.stats.reads,
-            o.stats.writes,
-            o.stats.hits,
-            o.stats.sci_fetches,
-            o.stats.ring_stalls,
-            o.stats.uncached_ops
-        ));
+        line = o.with_observables(line);
     }
     if let Status::GoldenMismatch { diffs } = status {
-        s.push_str(", \"golden_diffs\": [");
-        for (i, (field, want, got)) in diffs.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"field\": \"{}\", \"want\": {want}, \"got\": {got}}}",
-                esc(field)
-            ));
-        }
-        s.push(']');
+        let diffs: Json = diffs
+            .iter()
+            .map(|(field, want, got)| {
+                Json::obj()
+                    .with("field", field)
+                    .with("want", *want)
+                    .with("got", *got)
+            })
+            .collect();
+        line.push("golden_diffs", diffs);
     }
-    s.push('}');
-    s
+    line.compact()
 }
 
-fn error_reply(label: &str, detail: &str) -> String {
-    format!(
-        "{{\"ok\": false, \"error\": \"{}\", \"detail\": \"{}\"}}",
-        esc(label),
-        esc(detail)
-    )
+fn error_reply(label: &str, detail: &str) -> Json {
+    Json::obj()
+        .with("ok", false)
+        .with("error", label)
+        .with("detail", detail)
+}
+
+/// The head of every successful reply.
+fn ok_reply() -> Json {
+    Json::obj().with("ok", true)
+}
+
+/// A successful submission: the job that answers it and whether the
+/// cache did.
+fn submitted(seq: u64, digest: &str, cached: bool) -> Json {
+    ok_reply()
+        .with("job", id_of(seq))
+        .with("digest", digest)
+        .with("cached", cached)
 }
 
 /// True when the spec writes checkpoints a preempted or killed run
@@ -270,44 +271,40 @@ impl Core {
     /// Transient states are snapshotted as `pending` — a restart
     /// restarts them.
     fn snapshot_json(&self) -> String {
-        let mut s = format!(
-            "{{\"schema\": 1, \"version\": \"{}\", \"next_seq\": {}, \"jobs\": [",
-            code_version(),
-            self.next_seq
-        );
-        for (i, job) in self.jobs.values().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let state = if job.state.terminal() {
-                job.state.label()
-            } else {
-                "pending"
-            };
-            s.push_str(&format!(
-                "{{\"job\": \"{}\", \"digest\": \"{}\", \"priority\": \"{}\", \
-                 \"deadline_ms\": {}, \"state\": \"{}\", \"attempts\": {}, \
-                 \"preempts\": {}, \"resumed\": {}, \"spec\": \"{}\"",
-                id_of(job.seq),
-                esc(&job.digest),
-                job.priority.label(),
-                job.deadline_ms,
-                state,
-                job.attempts,
-                job.preempts,
-                job.resumed,
-                esc(&job.spec_toml)
-            ));
-            if let Some(r) = &job.result {
-                s.push_str(&format!(", \"result\": \"{}\"", esc(r)));
-            }
-            if let Some(e) = &job.error {
-                s.push_str(&format!(", \"error\": \"{}\"", esc(e)));
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+        let jobs: Json = self
+            .jobs
+            .values()
+            .map(|job| {
+                let state = if job.state.terminal() {
+                    job.state.label()
+                } else {
+                    "pending"
+                };
+                let mut j = Json::obj()
+                    .with("job", id_of(job.seq))
+                    .with("digest", &job.digest)
+                    .with("priority", job.priority.label())
+                    .with("deadline_ms", job.deadline_ms)
+                    .with("state", state)
+                    .with("attempts", job.attempts)
+                    .with("preempts", job.preempts)
+                    .with("resumed", job.resumed)
+                    .with("spec", &job.spec_toml);
+                if let Some(r) = &job.result {
+                    j.push("result", r);
+                }
+                if let Some(e) = &job.error {
+                    j.push("error", e);
+                }
+                j
+            })
+            .collect();
+        Json::obj()
+            .with("schema", 1)
+            .with("version", code_version())
+            .with("next_seq", self.next_seq)
+            .with("jobs", jobs)
+            .compact()
     }
 
     fn maybe_compact(&mut self, cfg: &ServeConfig) {
@@ -319,7 +316,8 @@ impl Core {
         }
     }
 
-    fn counts(&self) -> BTreeMap<&'static str, usize> {
+    /// Jobs per state label, every label present, keys sorted.
+    fn counts(&self) -> Json {
         let mut c: BTreeMap<&'static str, usize> = BTreeMap::new();
         for label in [
             "pending",
@@ -335,7 +333,11 @@ impl Core {
         for job in self.jobs.values() {
             *c.entry(job.state.label()).or_insert(0) += 1;
         }
-        c
+        Json::Obj(
+            c.into_iter()
+                .map(|(label, n)| (label.to_string(), Json::from(n)))
+                .collect(),
+        )
     }
 
     fn all_terminal(&self) -> bool {
@@ -534,7 +536,7 @@ impl Server {
 
         // Snapshot first, then the journal tail on top — idempotent.
         if let Some(snap) = &replay.snapshot {
-            if let Some(crate::json::Json::Arr(jobs)) = snap.get("jobs") {
+            if let Some(Json::Arr(jobs)) = snap.get("jobs") {
                 for obj in jobs {
                     let Some(seq) = obj.str_field("job").and_then(seq_of) else {
                         continue;
@@ -948,7 +950,7 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
 fn dispatch(inner: &Arc<Inner>, line: &str) -> (String, bool) {
     let req = match parse(line) {
         Ok(v) => v,
-        Err(e) => return (error_reply("bad-request", &e.to_string()), false),
+        Err(e) => return (error_reply("bad-request", &e.to_string()).compact(), false),
     };
     let reply = match req.str_field("cmd") {
         Some("submit") => handle_submit(inner, &req),
@@ -957,15 +959,13 @@ fn dispatch(inner: &Arc<Inner>, line: &str) -> (String, bool) {
         Some("cancel") => handle_cancel(inner, &req),
         Some("health") => handle_health(inner),
         Some("drain") => handle_drain(inner),
-        Some("shutdown") => {
-            return ("{\"ok\": true, \"stopping\": true}".to_string(), true);
-        }
+        Some("shutdown") => return (ok_reply().with("stopping", true).compact(), true),
         other => error_reply("bad-request", &format!("unknown cmd {other:?}")),
     };
-    (reply, false)
+    (reply.compact(), false)
 }
 
-fn handle_submit(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
+fn handle_submit(inner: &Arc<Inner>, req: &Json) -> Json {
     let Some(spec_text) = req.str_field("spec") else {
         return error_reply("bad-request", "submit without a spec");
     };
@@ -998,17 +998,10 @@ fn handle_submit(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
         let job = &c.jobs[&existing];
         if job.state == JobState::Done {
             c.cache.hits += 1;
-            return format!(
-                "{{\"ok\": true, \"job\": \"{}\", \"digest\": \"{digest}\", \"cached\": true}}",
-                id_of(existing)
-            );
+            return submitted(existing, &digest, true);
         }
         if !job.state.terminal() {
-            return format!(
-                "{{\"ok\": true, \"job\": \"{}\", \"digest\": \"{digest}\", \
-                 \"cached\": false, \"coalesced\": true}}",
-                id_of(existing)
-            );
+            return submitted(existing, &digest, false).with("coalesced", true);
         }
     }
 
@@ -1047,9 +1040,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
         c.by_digest.insert(digest.clone(), seq);
         c.maybe_compact(&inner.cfg);
         inner.done.notify_all();
-        return format!(
-            "{{\"ok\": true, \"job\": \"{id}\", \"digest\": \"{digest}\", \"cached\": true}}"
-        );
+        return submitted(seq, &digest, true);
     }
 
     // Fresh work: refused while draining, else bounded admission with
@@ -1113,10 +1104,10 @@ fn handle_submit(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
 
     c.maybe_compact(&inner.cfg);
     inner.work.notify_one();
-    format!("{{\"ok\": true, \"job\": \"{id}\", \"digest\": \"{digest}\", \"cached\": false}}")
+    submitted(seq, &digest, false)
 }
 
-fn handle_status(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
+fn handle_status(inner: &Arc<Inner>, req: &Json) -> Json {
     let Some(id) = req.str_field("job") else {
         return error_reply("bad-request", "status without a job id");
     };
@@ -1126,28 +1117,23 @@ fn handle_status(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
         return error_reply("no-such-job", &format!("unknown job {id:?}"));
     };
     refresh_liveness(job);
-    let mut s = format!(
-        "{{\"ok\": true, \"job\": \"{}\", \"digest\": \"{}\", \"state\": \"{}\", \
-         \"priority\": \"{}\", \"attempts\": {}, \"preempts\": {}, \"resumed\": {}, \
-         \"progress_cycles\": {}, \"stalled\": {}",
-        id_of(job.seq),
-        esc(&job.digest),
-        job.state.label(),
-        job.priority.label(),
-        job.attempts,
-        job.preempts,
-        job.resumed,
-        job.progress,
-        stalled(job, stall_after)
-    );
+    let mut reply = ok_reply()
+        .with("job", id_of(job.seq))
+        .with("digest", &job.digest)
+        .with("state", job.state.label())
+        .with("priority", job.priority.label())
+        .with("attempts", job.attempts)
+        .with("preempts", job.preempts)
+        .with("resumed", job.resumed)
+        .with("progress_cycles", job.progress)
+        .with("stalled", stalled(job, stall_after));
     if let Some(e) = &job.error {
-        s.push_str(&format!(", \"error\": \"{}\"", esc(e)));
+        reply.push("error", e);
     }
-    s.push('}');
-    s
+    reply
 }
 
-fn handle_result(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
+fn handle_result(inner: &Arc<Inner>, req: &Json) -> Json {
     let Some(id) = req.str_field("job") else {
         return error_reply("bad-request", "result without a job id");
     };
@@ -1156,26 +1142,21 @@ fn handle_result(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
         return error_reply("no-such-job", &format!("unknown job {id:?}"));
     };
     match (&job.result, job.state) {
-        (Some(r), JobState::Done) => format!(
-            "{{\"ok\": true, \"job\": \"{}\", \"result\": \"{}\"}}",
-            id_of(job.seq),
-            esc(r)
-        ),
+        (Some(r), JobState::Done) => ok_reply().with("job", id_of(job.seq)).with("result", r),
         _ => {
-            let mut s = format!(
-                "{{\"ok\": false, \"error\": \"not-done\", \"state\": \"{}\"",
-                job.state.label()
-            );
+            let mut reply = Json::obj()
+                .with("ok", false)
+                .with("error", "not-done")
+                .with("state", job.state.label());
             if let Some(e) = &job.error {
-                s.push_str(&format!(", \"detail\": \"{}\"", esc(e)));
+                reply.push("detail", e);
             }
-            s.push('}');
-            s
+            reply
         }
     }
 }
 
-fn handle_cancel(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
+fn handle_cancel(inner: &Arc<Inner>, req: &Json) -> Json {
     let Some(id) = req.str_field("job") else {
         return error_reply("bad-request", "cancel without a job id");
     };
@@ -1187,12 +1168,9 @@ fn handle_cancel(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
     let Some(job) = c.jobs.get_mut(&seq) else {
         return error_reply("no-such-job", &format!("unknown job {id:?}"));
     };
+    let reply = |state: &str| ok_reply().with("job", id_of(seq)).with("state", state);
     if job.state.terminal() {
-        return format!(
-            "{{\"ok\": true, \"job\": \"{}\", \"state\": \"{}\"}}",
-            id_of(seq),
-            job.state.label()
-        );
+        return reply(job.state.label());
     }
     // Record the intent durably before acting, so a crash between
     // request and confirmation still honours the cancel on replay.
@@ -1214,22 +1192,16 @@ fn handle_cancel(inner: &Arc<Inner>, req: &crate::json::Json) -> String {
         c.unmap_digest(seq);
         c.maybe_compact(&inner.cfg);
         inner.done.notify_all();
-        return format!(
-            "{{\"ok\": true, \"job\": \"{}\", \"state\": \"cancelled\"}}",
-            id_of(seq)
-        );
+        return reply("cancelled");
     }
     job.cancel_requested = true;
     if let Some(t) = &job.cancel {
         t.cancel();
     }
-    format!(
-        "{{\"ok\": true, \"job\": \"{}\", \"state\": \"cancelling\"}}",
-        id_of(seq)
-    )
+    reply("cancelling")
 }
 
-fn handle_health(inner: &Arc<Inner>) -> String {
+fn handle_health(inner: &Arc<Inner>) -> Json {
     let mut core = inner.core.lock().unwrap();
     let stall_after = inner.cfg.stall_after;
     let c = &mut *core;
@@ -1237,46 +1209,36 @@ fn handle_health(inner: &Arc<Inner>) -> String {
     for job in c.jobs.values_mut() {
         if job.state == JobState::Running {
             refresh_liveness(job);
-            running.push(format!(
-                "{{\"job\": \"{}\", \"progress_cycles\": {}, \"stalled\": {}}}",
-                id_of(job.seq),
-                job.progress,
-                stalled(job, stall_after)
-            ));
+            running.push(
+                Json::obj()
+                    .with("job", id_of(job.seq))
+                    .with("progress_cycles", job.progress)
+                    .with("stalled", stalled(job, stall_after)),
+            );
         }
     }
-    let counts = c.counts();
-    let mut jobs = String::from("{");
-    for (i, (label, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            jobs.push_str(", ");
-        }
-        jobs.push_str(&format!("\"{label}\": {n}"));
-    }
-    jobs.push('}');
-    format!(
-        "{{\"ok\": true, \"version\": \"{}\", \"draining\": {}, \"workers\": {}, \
-         \"busy\": {}, \"backlog\": {{\"high\": {}, \"normal\": {}, \"low\": {}}}, \
-         \"jobs\": {jobs}, \"cache_hits\": {}, \
-         \"journal\": {{\"since_compact\": {}, \"truncated\": {}, \"malformed\": {}}}, \
-         \"interrupted_resumed\": {}, \"running_jobs\": [{}]}}",
-        code_version(),
-        c.draining,
-        inner.cfg.workers.max(1),
-        c.busy,
-        c.queue.lane_len(Priority::High),
-        c.queue.lane_len(Priority::Normal),
-        c.queue.lane_len(Priority::Low),
-        c.cache.hits,
-        c.journal.since_compact,
-        c.journal_truncated,
-        c.journal_malformed,
-        c.interrupted_at_boot,
-        running.join(", ")
-    )
+    let backlog = Json::obj()
+        .with("high", c.queue.lane_len(Priority::High))
+        .with("normal", c.queue.lane_len(Priority::Normal))
+        .with("low", c.queue.lane_len(Priority::Low));
+    let journal = Json::obj()
+        .with("since_compact", c.journal.since_compact)
+        .with("truncated", c.journal_truncated)
+        .with("malformed", c.journal_malformed);
+    ok_reply()
+        .with("version", code_version())
+        .with("draining", c.draining)
+        .with("workers", inner.cfg.workers.max(1))
+        .with("busy", c.busy)
+        .with("backlog", backlog)
+        .with("jobs", c.counts())
+        .with("cache_hits", c.cache.hits)
+        .with("journal", journal)
+        .with("interrupted_resumed", c.interrupted_at_boot)
+        .with("running_jobs", running)
 }
 
-fn handle_drain(inner: &Arc<Inner>) -> String {
+fn handle_drain(inner: &Arc<Inner>) -> Json {
     let mut core = inner.core.lock().unwrap();
     core.draining = true;
     while !(core.stop || (core.all_terminal() && core.busy == 0)) {
@@ -1288,16 +1250,7 @@ fn handle_drain(inner: &Arc<Inner>) -> String {
     }
     let snap = core.snapshot_json();
     let _ = core.journal.compact(&snap);
-    let counts = core.counts();
-    let mut jobs = String::from("{");
-    for (i, (label, n)) in counts.iter().enumerate() {
-        if i > 0 {
-            jobs.push_str(", ");
-        }
-        jobs.push_str(&format!("\"{label}\": {n}"));
-    }
-    jobs.push('}');
-    format!("{{\"ok\": true, \"drained\": true, \"jobs\": {jobs}}}")
+    ok_reply().with("drained", true).with("jobs", core.counts())
 }
 
 #[cfg(test)]
@@ -1354,12 +1307,25 @@ mod tests {
         assert!(!line.contains("steps_run"), "steps_run is a host fact");
 
         let mismatch = Status::GoldenMismatch {
-            diffs: vec![("cycles".to_string(), 100, 123)],
+            diffs: vec![("cycles".to_string(), 100, 123), ("h\"x".to_string(), 1, 2)],
         };
         let line = result_line("aa", &mismatch, Some(&out));
-        assert!(line.contains("\"status\": \"golden-mismatch\""));
-        assert!(line.contains("{\"field\": \"cycles\", \"want\": 100, \"got\": 123}"));
-        crate::json::parse(&line).expect("result lines are valid JSON");
+        assert_eq!(
+            line,
+            "{\"digest\": \"aa\", \"status\": \"golden-mismatch\", \"cycles\": 123, \
+             \"reads\": 10, \"writes\": 5, \"hits\": 8, \"sci_fetches\": 2, \
+             \"ring_stalls\": 0, \"uncached_ops\": 1, \"golden_diffs\": [{\"field\": \"cycles\", \
+             \"want\": 100, \"got\": 123}, {\"field\": \"h\\\"x\", \"want\": 1, \"got\": 2}]}"
+        );
+        assert_eq!(
+            result_line("bb", &Status::Pass, None),
+            "{\"digest\": \"bb\", \"status\": \"pass\"}"
+        );
+        assert_eq!(
+            error_reply("no-such-job", "unknown job \"j9\"").compact(),
+            "{\"ok\": false, \"error\": \"no-such-job\", \"detail\": \"unknown job \\\"j9\\\"\"}"
+        );
+        parse(&line).expect("result lines are valid JSON");
     }
 
     #[test]

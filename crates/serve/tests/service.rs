@@ -4,7 +4,7 @@
 //! directory and ephemeral port.
 
 use spp_scenario::Registry;
-use spp_serve::{parse, request, Json, Priority, ServeConfig, Server};
+use spp_serve::{parse, request, Json, Priority, Record, ServeConfig, Server};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -26,27 +26,30 @@ fn req(server: &Server, line: &str) -> Json {
     parse(&reply).unwrap_or_else(|e| panic!("unparseable reply {reply:?}: {e}"))
 }
 
+fn submit_line(spec: &str, priority: Priority, deadline_ms: u64) -> String {
+    Json::obj()
+        .with("cmd", "submit")
+        .with("priority", priority.label())
+        .with("deadline_ms", deadline_ms)
+        .with("spec", spec)
+        .compact()
+}
+
 fn submit(server: &Server, spec: &str, priority: Priority, deadline_ms: u64) -> Json {
-    let line = format!(
-        "{{\"cmd\": \"submit\", \"priority\": \"{}\", \"deadline_ms\": {deadline_ms}, \
-         \"spec\": \"{}\"}}",
-        priority.label(),
-        spp_serve::json::esc(spec)
-    );
-    req(server, &line)
+    req(server, &submit_line(spec, priority, deadline_ms))
 }
 
 fn status(server: &Server, job: &str) -> Json {
     req(
         server,
-        &format!("{{\"cmd\": \"status\", \"job\": \"{job}\"}}"),
+        &Json::obj().with("cmd", "status").with("job", job).compact(),
     )
 }
 
 fn result_line(server: &Server, job: &str) -> Option<String> {
     let v = req(
         server,
-        &format!("{{\"cmd\": \"result\", \"job\": \"{job}\"}}"),
+        &Json::obj().with("cmd", "result").with("job", job).compact(),
     );
     if v.bool_field("ok") == Some(true) {
         v.str_field("result").map(str::to_string)
@@ -134,7 +137,7 @@ fn submit_status_result_roundtrip() {
     let noop_result = result_line(&server, &noop_job).expect("noop result");
     assert_eq!(
         noop_result,
-        format!("{{\"digest\": \"{digest}\", \"status\": \"pass\"}}")
+        "{\"digest\": \"D\", \"status\": \"pass\"}".replace('D', &digest)
     );
     let kernel_result = result_line(&server, &kernel_job).expect("kernel result");
     let parsed = parse(&kernel_result).expect("result is JSON");
@@ -234,7 +237,10 @@ fn cancel_stops_a_running_job() {
 
     let c = req(
         &server,
-        &format!("{{\"cmd\": \"cancel\", \"job\": \"{job}\"}}"),
+        &Json::obj()
+            .with("cmd", "cancel")
+            .with("job", &job)
+            .compact(),
     );
     assert_eq!(c.bool_field("ok"), Some(true));
     wait_state(&server, &job, "cancelled", 30);
@@ -453,6 +459,125 @@ fn drain_finishes_queued_work_and_refuses_new_submissions() {
     let refused = submit(&server, &noop_spec("drain-late"), Priority::Normal, 0);
     assert_eq!(refused.str_field("error"), Some("draining"), "{refused:?}");
 
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reply_bytes_are_pinned() {
+    let dir = tdir("reply-pins");
+    let server = start(&dir, |_| {});
+    let raw = |line: &str| request(&server.addr().to_string(), line).expect("request round-trips");
+
+    let sub = raw(&submit_line(&noop_spec("pin-noop"), Priority::Low, 5_000));
+    let digest = parse(&sub)
+        .unwrap()
+        .str_field("digest")
+        .unwrap()
+        .to_string();
+    let pin = |want: &str| want.replace("DIGEST", &digest);
+    assert_eq!(
+        sub,
+        pin("{\"ok\": true, \"job\": \"j1\", \"digest\": \"DIGEST\", \"cached\": false}")
+    );
+    wait_state(&server, "j1", "done", 30);
+    assert_eq!(
+        raw("{\"cmd\": \"status\", \"job\": \"j1\"}"),
+        pin(
+            "{\"ok\": true, \"job\": \"j1\", \"digest\": \"DIGEST\", \"state\": \"done\", \
+             \"priority\": \"low\", \"attempts\": 1, \"preempts\": 0, \"resumed\": false, \
+             \"progress_cycles\": 0, \"stalled\": false}"
+        )
+    );
+    assert_eq!(
+        raw("{\"cmd\": \"result\", \"job\": \"j1\"}"),
+        pin("{\"ok\": true, \"job\": \"j1\", \
+             \"result\": \"{\\\"digest\\\": \\\"DIGEST\\\", \\\"status\\\": \\\"pass\\\"}\"}")
+    );
+    assert_eq!(
+        raw(&submit_line(&noop_spec("pin-noop"), Priority::Normal, 0)),
+        pin("{\"ok\": true, \"job\": \"j1\", \"digest\": \"DIGEST\", \"cached\": true}")
+    );
+    assert_eq!(
+        raw("{\"cmd\": \"cancel\", \"job\": \"j1\"}"),
+        "{\"ok\": true, \"job\": \"j1\", \"state\": \"done\"}"
+    );
+    assert_eq!(
+        raw("{\"cmd\": \"status\", \"job\": \"j9\"}"),
+        "{\"ok\": false, \"error\": \"no-such-job\", \"detail\": \"unknown job \\\"j9\\\"\"}"
+    );
+    assert_eq!(
+        raw("{\"cmd\": \"submit\"}"),
+        "{\"ok\": false, \"error\": \"bad-request\", \"detail\": \"submit without a spec\"}"
+    );
+    assert_eq!(
+        raw("{\"cmd\": \"fly\"}"),
+        "{\"ok\": false, \"error\": \"bad-request\", \"detail\": \"unknown cmd Some(\\\"fly\\\")\"}"
+    );
+    assert_eq!(
+        raw("{\"cmd\": [1,"),
+        "{\"ok\": false, \"error\": \"bad-request\", \
+         \"detail\": \"json error at byte 11: expected a JSON value\"}"
+    );
+    assert_eq!(
+        raw("{\"cmd\": \"drain\"}"),
+        "{\"ok\": true, \"drained\": true, \"jobs\": {\"cancelled\": 0, \
+         \"deadline-expired\": 0, \"done\": 1, \"failed\": 0, \"pending\": 0, \
+         \"quarantined\": 0, \"running\": 0}}"
+    );
+    assert_eq!(
+        raw("{\"cmd\": \"health\"}"),
+        "{\"ok\": true, \"version\": \"0.1.0\", \"draining\": true, \"workers\": 2, \
+         \"busy\": 0, \"backlog\": {\"high\": 0, \"normal\": 0, \"low\": 0}, \
+         \"jobs\": {\"cancelled\": 0, \"deadline-expired\": 0, \"done\": 1, \"failed\": 0, \
+         \"pending\": 0, \"quarantined\": 0, \"running\": 0}, \"cache_hits\": 1, \
+         \"journal\": {\"since_compact\": 0, \"truncated\": 0, \"malformed\": 0}, \
+         \"interrupted_resumed\": 0, \"running_jobs\": []}"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tests/fixtures/journal.jsonl` and `tests/fixtures/state.json` were
+/// written by a `spp serve` session (five jobs: done, done with a
+/// kernel result, failed, golden mismatch, cancelled while running).
+fn fixture(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn journal_records_on_disk_rewrite_byte_identically() {
+    let journal = fixture("journal.jsonl");
+    assert!(journal.lines().count() >= 10);
+    for line in journal.lines() {
+        let rec = Record::from_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(rec.to_line(), line);
+    }
+}
+
+#[test]
+fn a_snapshot_on_disk_replays_and_is_rewritten_byte_identically() {
+    let dir = tdir("fixture-replay");
+    std::fs::create_dir_all(&dir).unwrap();
+    let state = fixture("state.json");
+    std::fs::write(dir.join("state.json"), &state).unwrap();
+    let server = start(&dir, |_| {});
+    assert_eq!(status(&server, "j3").str_field("state"), Some("failed"));
+    assert_eq!(
+        status(&server, "j5").str_field("error"),
+        Some("cancelled by client")
+    );
+    let golden = parse(&result_line(&server, "j4").unwrap()).unwrap();
+    assert_eq!(golden.str_field("status"), Some("golden-mismatch"));
+    let d = req(&server, "{\"cmd\": \"drain\"}");
+    assert_eq!(d.bool_field("drained"), Some(true), "{d:?}");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("state.json")).unwrap(),
+        state
+    );
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
