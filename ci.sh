@@ -62,6 +62,8 @@ SPP_CHECK=1 "$SPP" repro chaos --steps 1 >/dev/null
 cmp target/repro/BENCH_chaos.first.json target/repro/BENCH_chaos.json
 rm -f target/repro/BENCH_chaos.first.json
 echo "   BENCH_chaos.json byte-identical across runs"
+cmp target/repro/all/BENCH_chaos.json target/repro/BENCH_chaos.json
+echo "   BENCH_chaos.json byte-identical to target/repro/all/BENCH_chaos.json"
 
 echo "== spp repro trace smoke run (1 step, tracing + reconciliation gates)"
 "$SPP" repro trace --steps 1 >/dev/null
@@ -141,6 +143,8 @@ cp target/repro/BENCH_recovery.json target/repro/BENCH_recovery.first.json
 cmp target/repro/BENCH_recovery.first.json target/repro/BENCH_recovery.json
 rm -f target/repro/BENCH_recovery.first.json
 echo "   BENCH_recovery.json byte-identical across runs"
+cmp target/repro/all/BENCH_recovery.json target/repro/BENCH_recovery.json
+echo "   BENCH_recovery.json byte-identical to target/repro/all/BENCH_recovery.json"
 
 echo "== recovery scenario matrix (one golden-pinned rollback cell per protocol)"
 # Each cell seeds transients that always exhaust the scrub budget

@@ -4,77 +4,23 @@
 //! simulated-cycle watchdog. A failing cell's fault-event list is
 //! *shrunk* by greedy delta debugging to a minimal reproducer, so a
 //! degraded-mode bug arrives as "these ≤N events break invariant X on
-//! workload Y at seed Z" instead of a 40-cell wall of red.
+//! workload Y at seed Z" instead of a 40-cell wall of red. The cells,
+//! runner, shrinker and report writer are the shared fault grid
+//! ([`crate::grid`]); this module holds the grid, the budget check and
+//! the columns.
 //!
 //! The campaign's machine-readable summary is `BENCH_chaos.json`
 //! (written by `spp repro chaos` under `target/repro`, or
 //! `SPP_REPRO_DIR`), following the `BENCH_*.json` convention.
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crate::{emit, Opts, Table};
+use crate::grid::{Campaign, Cell, GridOutcome, Reject, Workload};
+use crate::Opts;
 use spp_core::json::Json;
-use spp_core::{
-    panic_message, CancelToken, Cycles, FaultEvent, FaultPlan, Machine, ProtocolKind, StallKind,
-    Watchdog,
-};
-use spp_runtime::{Placement, Runtime, Team};
-use spp_scenario::{report_head, run_shared_app, SharedRun, WorkloadApp};
+use spp_core::{Cycles, FaultEvent, FaultPlan, ProtocolKind, StallKind, Watchdog};
 
-/// The campaign workloads: the four shared-memory applications on a
-/// 2-hypernode machine with 8 threads — PIC on an 8x8x8 mesh and
-/// N-body with 1024 bodies placed Uniform, FEM on a 32x32 mesh (CFL
-/// 0.3) and tiny PPM placed HighLocality. The chaos and recovery
-/// campaigns sweep [`Workload::FAULTED`]; the race campaign all four.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Workload {
-    /// Particle-in-cell.
-    Pic,
-    /// N-body tree code.
-    Nbody,
-    /// FEM, scatter-add coding.
-    Fem,
-    /// PPM gas dynamics.
-    Ppm,
-}
-
-impl Workload {
-    /// The workloads the fault campaigns sweep, in grid order.
-    pub const FAULTED: [Workload; 3] = [Workload::Pic, Workload::Nbody, Workload::Fem];
-
-    /// Every workload, in campaign order.
-    pub fn all() -> [Workload; 4] {
-        [Workload::Pic, Workload::Nbody, Workload::Fem, Workload::Ppm]
-    }
-
-    /// Short stable label.
-    pub fn label(&self) -> &'static str {
-        self.app().label()
-    }
-
-    /// The application and its size.
-    pub fn app(self) -> WorkloadApp {
-        match self {
-            Workload::Pic => WorkloadApp::Pic { mesh: (8, 8, 8) },
-            Workload::Nbody => WorkloadApp::Nbody { bodies: 1024 },
-            Workload::Fem => WorkloadApp::Fem { nx: 32, ny: 32 },
-            Workload::Ppm => WorkloadApp::Ppm,
-        }
-    }
-
-    /// Run on `rt` (a 2-hypernode machine): set-up, one warm-up step,
-    /// then `steps` measured steps.
-    pub(crate) fn run(self, rt: Runtime, steps: usize) -> SharedRun {
-        let placement = match self {
-            Workload::Pic | Workload::Nbody => Placement::Uniform,
-            Workload::Fem | Workload::Ppm => Placement::HighLocality,
-        };
-        let team = Team::place(rt.machine.config(), 8, &placement);
-        run_shared_app(self.app(), rt, &team, steps, 0.3, &CancelToken::new())
-            .expect("an uncancelled shared-memory run finishes")
-    }
-}
+/// A faulty run taking over this many times the clean run's simulated
+/// cycles is livelocked, not slow.
+pub const BUDGET_FACTOR: u64 = 50;
 
 /// Simulated-state observations from one completed cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,229 +39,76 @@ pub struct CellStats {
     pub degraded_nodes: u128,
 }
 
-fn workload_run(w: Workload, proto: ProtocolKind, plan: FaultPlan, steps: usize) -> CellStats {
-    let rt = Runtime::new(Machine::spp1000(2).with_protocol(proto).with_faults(plan));
-    let run = w.run(rt, steps);
+impl GridOutcome for CellStats {
+    const EXPERIMENT: &'static str = "chaos";
+    const KEY_COLUMNS: &'static [&'static str] = &["workload", "seed", "events"];
+    const PASS: &'static str = "pass";
+    const PASS_COLUMNS: &'static [&'static str] =
+        &["cycles", "stalls", "reroutes", "dead", "rings", "gcb"];
+    // Only non-default backends carry a protocol field, so the
+    // historical DASH+SCI rows keep their exact bytes.
+    const TAG_DASH_SCI: bool = false;
+
+    fn key_cells(cell: &Cell) -> Vec<String> {
+        let wl = match cell.protocol {
+            ProtocolKind::DashSci => cell.workload.label().to_string(),
+            p => format!("{}:{}", cell.workload.label(), p.label()),
+        };
+        let events: Vec<&str> = cell.events.iter().map(FaultEvent::label).collect();
+        vec![wl, cell.seed.to_string(), events.join("+")]
+    }
+
+    fn pass_cells(&self) -> Vec<String> {
+        vec![
+            self.elapsed.to_string(),
+            self.ring_stalls.to_string(),
+            self.link_reroutes.to_string(),
+            self.dead_cpus.to_string(),
+            format!("{:04b}", self.failed_rings),
+            format!("{:02b}", self.degraded_nodes),
+        ]
+    }
+
+    fn pass_fields(&self, row: Json) -> Json {
+        row.with("elapsed", self.elapsed)
+            .with("ring_stalls", self.ring_stalls)
+            .with("link_reroutes", self.link_reroutes)
+            .with("dead_cpus", self.dead_cpus)
+            .with("failed_rings", self.failed_rings)
+            .with("degraded_nodes", self.degraded_nodes)
+    }
+}
+
+/// Check one campaign cell: its workload under the cell's fault plan
+/// must finish within `budget` simulated cycles (a run blowing past it
+/// is reported as a watchdog trip, not left to crawl forever). The
+/// grid runner turns the coherence checker's violations and any other
+/// panic into failures.
+pub fn check_cell(cell: &Cell, budget: &Watchdog, steps: usize) -> Result<CellStats, Reject> {
+    let run = cell
+        .workload
+        .run_under(cell.protocol, Some(cell.plan()), steps);
     let m = &run.rt.machine;
-    CellStats {
+    let stats = CellStats {
         elapsed: run.totals.cycles,
         ring_stalls: m.stats.ring_stalls,
         link_reroutes: m.stats.link_reroutes,
         dead_cpus: m.dead_cpu_list().len(),
         failed_rings: m.failed_rings(),
         degraded_nodes: m.degraded_nodes(),
+    };
+    if budget.expired(stats.elapsed) {
+        let trip = budget.trip(
+            StallKind::RetryLoop,
+            stats.elapsed,
+            format!(
+                "{} cell exceeded its simulated-cycle budget",
+                cell.workload.label()
+            ),
+        );
+        return Err(Reject::Shrink(trip.to_string()));
     }
-}
-
-/// Run one campaign cell: `workload` under the fault plan of `events`
-/// seeded by `seed`, inside `catch_unwind` (the coherence checker's
-/// violations and any other panic become the error string) and under
-/// a simulated-cycle budget (a run blowing past it is reported as a
-/// watchdog trip, not left to crawl forever).
-pub fn run_cell(
-    w: Workload,
-    proto: ProtocolKind,
-    seed: u64,
-    events: &[FaultEvent],
-    steps: usize,
-    budget: &Watchdog,
-) -> Result<CellStats, String> {
-    let plan = FaultPlan::from_events(seed, events);
-    let out = catch_unwind(AssertUnwindSafe(|| workload_run(w, proto, plan, steps)));
-    match out {
-        Err(p) => Err(panic_message(p)),
-        Ok(stats) => {
-            if budget.expired(stats.elapsed) {
-                Err(budget
-                    .trip(
-                        StallKind::RetryLoop,
-                        stats.elapsed,
-                        format!("{} cell exceeded its simulated-cycle budget", w.label()),
-                    )
-                    .to_string())
-            } else {
-                Ok(stats)
-            }
-        }
-    }
-}
-
-/// Greedy delta-debugging shrinker: drop one item at a time, keeping
-/// each removal that preserves the failure, until no single removal
-/// does. `fails` must be deterministic (the campaign's cells are).
-/// The input must itself fail; the result is a locally-minimal failing
-/// subset in the original order. Shared with the race campaign, which
-/// shrinks schedule transpositions instead of fault events.
-pub fn shrink<T: Clone>(items: &[T], mut fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
-    let mut cur = items.to_vec();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let mut i = 0;
-        while i < cur.len() {
-            let mut candidate = cur.clone();
-            candidate.remove(i);
-            if fails(&candidate) {
-                cur = candidate;
-                changed = true;
-            } else {
-                i += 1;
-            }
-        }
-    }
-    cur
-}
-
-/// `events` as one table cell.
-pub(crate) fn joined_events(events: &[FaultEvent]) -> String {
-    let descs: Vec<String> = events.iter().map(FaultEvent::desc).collect();
-    descs.join(" + ")
-}
-
-/// One grid cell (what to run).
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// The application.
-    pub workload: Workload,
-    /// The coherence protocol the simulated machine runs.
-    pub protocol: ProtocolKind,
-    /// Fault-plan seed.
-    pub seed: u64,
-    /// Fault events layered onto the plan.
-    pub events: Vec<FaultEvent>,
-}
-
-/// One grid cell's outcome (what happened).
-#[derive(Debug, Clone)]
-pub struct CellResult {
-    /// The cell that ran.
-    pub cell: Cell,
-    /// Observations on success.
-    pub stats: Option<CellStats>,
-    /// Panic / watchdog message on failure.
-    pub failure: Option<String>,
-    /// Minimal failing event subset (present only on failure).
-    pub shrunk: Option<Vec<FaultEvent>>,
-}
-
-impl CellResult {
-    /// Did the cell pass?
-    pub fn pass(&self) -> bool {
-        self.failure.is_none()
-    }
-}
-
-/// A completed campaign.
-pub struct Campaign {
-    /// Per-cell outcomes, in grid order.
-    pub results: Vec<CellResult>,
-    /// Measured steps per cell.
-    pub steps: usize,
-    /// Whether the full grid ran.
-    pub full: bool,
-}
-
-impl Campaign {
-    /// True when every cell passed.
-    pub fn passed(&self) -> bool {
-        self.results.iter().all(|r| r.pass())
-    }
-
-    /// The human-readable campaign table.
-    pub fn render(&self) -> String {
-        let mut t = Table::new(&[
-            "workload", "seed", "events", "result", "cycles", "stalls", "reroutes", "dead",
-            "rings", "gcb",
-        ]);
-        for r in &self.results {
-            let wl = match r.cell.protocol {
-                ProtocolKind::DashSci => r.cell.workload.label().to_string(),
-                p => format!("{}:{}", r.cell.workload.label(), p.label()),
-            };
-            let events = r
-                .cell
-                .events
-                .iter()
-                .map(|e| e.label())
-                .collect::<Vec<_>>()
-                .join("+");
-            match (&r.stats, &r.failure) {
-                (Some(s), None) => t.row(vec![
-                    wl.clone(),
-                    r.cell.seed.to_string(),
-                    events,
-                    "pass".to_string(),
-                    s.elapsed.to_string(),
-                    s.ring_stalls.to_string(),
-                    s.link_reroutes.to_string(),
-                    s.dead_cpus.to_string(),
-                    format!("{:04b}", s.failed_rings),
-                    format!("{:02b}", s.degraded_nodes),
-                ]),
-                (_, Some(msg)) => {
-                    let shrunk = joined_events(r.shrunk.as_deref().unwrap_or_default());
-                    t.row(vec![
-                        wl,
-                        r.cell.seed.to_string(),
-                        events,
-                        format!("FAIL [{shrunk}] {msg}"),
-                        "-".to_string(),
-                        "-".to_string(),
-                        "-".to_string(),
-                        "-".to_string(),
-                        "-".to_string(),
-                        "-".to_string(),
-                    ]);
-                }
-                (None, None) => unreachable!("cell with neither stats nor failure"),
-            }
-        }
-        t.render()
-    }
-
-    /// Machine-readable form (the `BENCH_chaos.json` ci.sh asserts on,
-    /// following the `BENCH_*.json` convention).
-    pub fn to_json(&self) -> Json {
-        let grid: Json = self
-            .results
-            .iter()
-            .map(|r| {
-                let mut row = Json::obj().with("workload", r.cell.workload.label());
-                // Only non-default backends carry a protocol field, so
-                // the historical DASH+SCI rows keep their exact bytes.
-                if r.cell.protocol != ProtocolKind::DashSci {
-                    row.push("protocol", r.cell.protocol.label());
-                }
-                let row = row
-                    .with("seed", r.cell.seed)
-                    .with("events", descs(&r.cell.events))
-                    .with("pass", r.stats.is_some());
-                match &r.stats {
-                    Some(s) => row
-                        .with("elapsed", s.elapsed)
-                        .with("ring_stalls", s.ring_stalls)
-                        .with("link_reroutes", s.link_reroutes)
-                        .with("dead_cpus", s.dead_cpus)
-                        .with("failed_rings", s.failed_rings)
-                        .with("degraded_nodes", s.degraded_nodes),
-                    None => row
-                        .with("failure", r.failure.as_deref().unwrap_or(""))
-                        .with("reproducer", descs(r.shrunk.as_deref().unwrap_or_default())),
-                }
-            })
-            .collect();
-        report_head("chaos")
-            .with("full", self.full)
-            .with("steps", self.steps)
-            .with("cells", self.results.len())
-            .with("passed", self.passed())
-            .with("grid", grid)
-    }
-}
-
-/// `events` as a JSON array of their descriptions.
-pub(crate) fn descs(events: &[FaultEvent]) -> Json {
-    events.iter().map(FaultEvent::desc).collect()
+    Ok(stats)
 }
 
 /// The event lists the grid layers onto each (workload, seed) pair.
@@ -365,31 +158,23 @@ fn intensities() -> Vec<Vec<FaultEvent>> {
 /// doubles the seed set.
 pub fn default_grid(full: bool) -> Vec<Cell> {
     let seeds: &[u64] = if full { &[11, 23, 47, 61] } else { &[11, 23] };
-    let mut cells = Vec::new();
-    for w in Workload::FAULTED {
-        for &seed in seeds {
-            for events in intensities() {
-                cells.push(Cell {
-                    workload: w,
-                    protocol: ProtocolKind::DashSci,
-                    seed,
-                    events,
-                });
-            }
-        }
-    }
     // The alternative backends ride along after the historical
     // DASH+SCI rows (appending keeps those rows byte-stable in
     // BENCH_chaos.json) with a reduced seed set so the smoke grid
     // stays fast.
     let alt_seeds: &[u64] = if full { &[11, 23] } else { &[11] };
-    for proto in [ProtocolKind::Mesi, ProtocolKind::Dragon] {
-        for w in Workload::FAULTED {
-            for &seed in alt_seeds {
+    let mut cells = Vec::new();
+    for (protocol, seeds) in [
+        (ProtocolKind::DashSci, seeds),
+        (ProtocolKind::Mesi, alt_seeds),
+        (ProtocolKind::Dragon, alt_seeds),
+    ] {
+        for workload in Workload::FAULTED {
+            for &seed in seeds {
                 for events in intensities() {
                     cells.push(Cell {
-                        workload: w,
-                        protocol: proto,
+                        workload,
+                        protocol,
                         seed,
                         events,
                     });
@@ -400,62 +185,21 @@ pub fn default_grid(full: bool) -> Vec<Cell> {
     cells
 }
 
-/// Run a campaign over `cells`. Each workload's clean (fault-free)
-/// elapsed time seeds a per-cell simulated-cycle budget — a faulty run
-/// taking over `BUDGET_FACTOR`× the clean run is livelocked, not slow.
-/// Failing cells are shrunk to minimal reproducers before returning.
-pub fn run_campaign(cells: &[Cell], steps: usize, full: bool) -> Campaign {
-    const BUDGET_FACTOR: u64 = 50;
-    let mut clean: HashMap<(Workload, ProtocolKind), Cycles> = HashMap::new();
-    let results = cells
-        .iter()
-        .map(|cell| {
-            let base = *clean
-                .entry((cell.workload, cell.protocol))
-                .or_insert_with(|| {
-                    workload_run(cell.workload, cell.protocol, FaultPlan::new(0), steps).elapsed
-                });
-            let budget = Watchdog::new(base.saturating_mul(BUDGET_FACTOR));
-            match run_cell(
-                cell.workload,
-                cell.protocol,
-                cell.seed,
-                &cell.events,
-                steps,
-                &budget,
-            ) {
-                Ok(stats) => CellResult {
-                    cell: cell.clone(),
-                    stats: Some(stats),
-                    failure: None,
-                    shrunk: None,
-                },
-                Err(msg) => {
-                    let shrunk = shrink(&cell.events, |ev| {
-                        run_cell(cell.workload, cell.protocol, cell.seed, ev, steps, &budget)
-                            .is_err()
-                    });
-                    CellResult {
-                        cell: cell.clone(),
-                        stats: None,
-                        failure: Some(msg),
-                        shrunk: Some(shrunk),
-                    }
-                }
-            }
-        })
-        .collect();
-    Campaign {
-        results,
+/// Run a campaign over `cells`. Each (workload, protocol) pair's clean
+/// (fault-free) elapsed time, run once, sets the cells' simulated-cycle
+/// budget at [`BUDGET_FACTOR`]× that time. Failing cells are shrunk to
+/// minimal reproducers before returning.
+pub fn run_campaign(cells: &[Cell], steps: usize, full: bool) -> Campaign<CellStats> {
+    Campaign::run(
+        cells,
         steps,
         full,
-    }
-}
-
-/// Run the default campaign for `o` (used by `spp repro chaos`
-/// and tests).
-pub fn campaign(o: &Opts) -> Campaign {
-    run_campaign(&default_grid(o.full), o.steps, o.full)
+        |w, p| {
+            let clean = w.run_under(p, Some(FaultPlan::new(0)), steps).totals.cycles;
+            Watchdog::new(clean.saturating_mul(BUDGET_FACTOR))
+        },
+        |cell, budget| check_cell(cell, budget, steps),
+    )
 }
 
 /// Regenerate the chaos-campaign report. Writes `BENCH_chaos.json`
@@ -463,27 +207,23 @@ pub fn campaign(o: &Opts) -> Campaign {
 /// as the standalone binary, then panics when the campaign fails so
 /// the harness records a FAIL.
 pub fn run(o: &Opts) -> String {
-    let c = campaign(o);
-    let report = crate::write_bench("BENCH_chaos.json", &c.to_json());
-    let text = emit(
+    let c = run_campaign(&default_grid(o.full), o.steps, o.full);
+    c.finish(
         "repro-chaos: degraded-mode chaos campaign",
         &format!(
-            "{}\nEvery cell runs a real application under transient + hard faults\n\
-             with the coherence checker armed and a {}x-clean cycle budget; a\n\
+            "Every cell runs a real application under transient + hard faults\n\
+             with the coherence checker armed and a {BUDGET_FACTOR}x-clean cycle budget; a\n\
              failing cell's event list is delta-debugged to a minimal reproducer.\n\
-             campaign passed: {}\n{report}",
-            c.render(),
-            50,
+             campaign passed: {}",
             c.passed()
         ),
-    );
-    assert!(c.passed(), "chaos campaign failed:\n{}", c.render());
-    text
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{CellResult, Failure};
 
     fn short_events() -> Vec<FaultEvent> {
         vec![
@@ -507,12 +247,22 @@ mod tests {
         ]
     }
 
+    fn cell(workload: Workload, protocol: ProtocolKind, seed: u64, events: &[FaultEvent]) -> Cell {
+        Cell {
+            workload,
+            protocol,
+            seed,
+            events: events.to_vec(),
+        }
+    }
+
     #[test]
     fn healthy_cells_pass_under_checker_and_budget() {
         let wd = Watchdog::new(u64::MAX - 1);
         for w in [Workload::Pic, Workload::Fem] {
-            let s = run_cell(w, ProtocolKind::DashSci, 11, &short_events(), 1, &wd)
-                .unwrap_or_else(|e| panic!("{} cell failed: {e}", w.label()));
+            let c = cell(w, ProtocolKind::DashSci, 11, &short_events());
+            let s = check_cell(&c, &wd, 1)
+                .unwrap_or_else(|e| panic!("{} cell failed: {e:?}", w.label()));
             assert!(s.elapsed > 0);
             assert_eq!(s.dead_cpus, 1, "{}: cpu 2 must have died", w.label());
             assert_eq!(s.failed_rings, 0b10, "{}", w.label());
@@ -523,86 +273,22 @@ mod tests {
     #[test]
     fn cells_are_deterministic() {
         let wd = Watchdog::new(u64::MAX - 1);
-        let a = run_cell(
-            Workload::Nbody,
-            ProtocolKind::DashSci,
-            23,
-            &short_events(),
-            1,
-            &wd,
-        )
-        .unwrap();
-        let b = run_cell(
-            Workload::Nbody,
-            ProtocolKind::DashSci,
-            23,
-            &short_events(),
-            1,
-            &wd,
-        )
-        .unwrap();
+        let c = cell(Workload::Nbody, ProtocolKind::DashSci, 23, &short_events());
+        let a = check_cell(&c, &wd, 1).unwrap();
+        let b = check_cell(&c, &wd, 1).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn budget_overrun_is_reported_as_a_watchdog_trip() {
         // A 1-cycle budget: any real run exceeds it.
-        let err = run_cell(
-            Workload::Pic,
-            ProtocolKind::DashSci,
-            11,
-            &[],
-            1,
-            &Watchdog::new(1),
-        )
-        .expect_err("1-cycle budget must trip");
+        let c = cell(Workload::Pic, ProtocolKind::DashSci, 11, &[]);
+        let err = check_cell(&c, &Watchdog::new(1), 1).expect_err("1-cycle budget must trip");
+        let Reject::Shrink(err) = err else {
+            panic!("a budget trip is shrunk: {err:?}")
+        };
         assert!(err.contains("watchdog trip [retry-loop]"), "{err}");
         assert!(err.contains("simulated-cycle budget"), "{err}");
-    }
-
-    #[test]
-    fn shrinker_finds_the_minimal_failing_subset() {
-        // Failure predicate: the "bug" triggers whenever a CPU failure
-        // and a GCB degrade are both present (a planted two-event
-        // interaction inside a six-event plan).
-        let events = intensities().remove(1);
-        assert_eq!(events.len(), 6);
-        let fails = |ev: &[FaultEvent]| {
-            ev.iter().any(|e| matches!(e, FaultEvent::CpuFail { .. }))
-                && ev
-                    .iter()
-                    .any(|e| matches!(e, FaultEvent::GcbDegrade { .. }))
-        };
-        assert!(fails(&events));
-        let min = shrink(&events, fails);
-        assert_eq!(min.len(), 2, "minimal reproducer: {min:?}");
-        assert!(matches!(min[0], FaultEvent::CpuFail { .. }));
-        assert!(matches!(min[1], FaultEvent::GcbDegrade { .. }));
-    }
-
-    #[test]
-    fn an_injected_invariant_bug_is_caught_and_shrunk_small() {
-        // End-to-end through the campaign machinery: a cell runner
-        // stand-in panics (as the coherence checker would) whenever the
-        // planted event pair is present. The campaign-side predicate —
-        // catch_unwind + shrink — must catch it and reduce the
-        // six-event plan to the ≤3-event reproducer.
-        let events = intensities().remove(1);
-        let buggy = |ev: &[FaultEvent]| -> Result<(), String> {
-            let trips = ev.iter().any(|e| matches!(e, FaultEvent::LinkFail { .. }))
-                && ev.iter().any(|e| matches!(e, FaultEvent::SpawnFail { .. }));
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                if trips {
-                    panic!("coherence violation: sci-well-formed (injected test bug)");
-                }
-            }));
-            out.map_err(panic_message)
-        };
-        let msg = buggy(&events).expect_err("the planted bug must fire on the full plan");
-        assert!(msg.contains("coherence violation"), "{msg}");
-        let min = shrink(&events, |ev| buggy(ev).is_err());
-        assert!(min.len() <= 3, "reproducer too large: {min:?}");
-        assert!(buggy(&min).is_err(), "shrunk plan must still fail");
     }
 
     #[test]
@@ -625,18 +311,8 @@ mod tests {
     #[test]
     fn protocol_cells_run_and_tag_their_json_rows() {
         let cells = vec![
-            Cell {
-                workload: Workload::Pic,
-                protocol: ProtocolKind::DashSci,
-                seed: 11,
-                events: short_events(),
-            },
-            Cell {
-                workload: Workload::Pic,
-                protocol: ProtocolKind::Mesi,
-                seed: 11,
-                events: short_events(),
-            },
+            cell(Workload::Pic, ProtocolKind::DashSci, 11, &short_events()),
+            cell(Workload::Pic, ProtocolKind::Mesi, 11, &short_events()),
         ];
         let c = run_campaign(&cells, 1, false);
         assert!(c.passed(), "{}", c.render());
@@ -653,12 +329,12 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let cells = vec![Cell {
-            workload: Workload::Pic,
-            protocol: ProtocolKind::DashSci,
-            seed: 11,
-            events: short_events(),
-        }];
+        let cells = vec![cell(
+            Workload::Pic,
+            ProtocolKind::DashSci,
+            11,
+            &short_events(),
+        )];
         let c = run_campaign(&cells, 1, false);
         assert!(c.passed());
         let doc = crate::parse_report(&c.to_json());
@@ -672,32 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn control_characters_in_a_failure_message_stay_valid_json() {
-        let msg = "checker said \"no\"\tat\u{1} line\r\nC:\\path";
-        let c = Campaign {
-            results: vec![CellResult {
-                cell: Cell {
-                    workload: Workload::Fem,
-                    protocol: ProtocolKind::Mesi,
-                    seed: 11,
-                    events: short_events(),
-                },
-                stats: None,
-                failure: Some(msg.to_string()),
-                shrunk: Some(short_events()[..1].to_vec()),
-            }],
-            steps: 1,
-            full: false,
-        };
-        let doc = crate::parse_report(&c.to_json());
-        assert_eq!(doc.bool_field("passed"), Some(false));
-        let row = &crate::report_array(&doc, "grid")[0];
-        assert_eq!(row.str_field("failure"), Some(msg));
-        assert_eq!(row.str_field("protocol"), Some("mesi"));
-        assert_eq!(crate::report_array(row, "reproducer").len(), 1);
-    }
-
-    #[test]
     fn report_json_bytes_are_pinned() {
         let stats = CellStats {
             elapsed: 1234,
@@ -707,31 +357,27 @@ mod tests {
             failed_rings: 0b0010,
             degraded_nodes: 1 << 127,
         };
-        let cell = |protocol, events: &[FaultEvent]| Cell {
-            workload: Workload::Nbody,
-            protocol,
-            seed: 7,
-            events: events.to_vec(),
-        };
         let c = Campaign {
             results: vec![
                 CellResult {
-                    cell: cell(ProtocolKind::DashSci, &short_events()[..2]),
-                    stats: Some(stats),
-                    failure: None,
-                    shrunk: None,
+                    cell: cell(
+                        Workload::Nbody,
+                        ProtocolKind::DashSci,
+                        7,
+                        &short_events()[..2],
+                    ),
+                    outcome: Ok(stats),
                 },
                 CellResult {
-                    cell: cell(ProtocolKind::Dragon, &[]),
-                    stats: Some(stats),
-                    failure: None,
-                    shrunk: None,
+                    cell: cell(Workload::Nbody, ProtocolKind::Dragon, 7, &[]),
+                    outcome: Ok(stats),
                 },
                 CellResult {
-                    cell: cell(ProtocolKind::Mesi, &short_events()[2..]),
-                    stats: None,
-                    failure: Some("bad \"x\"\n".to_string()),
-                    shrunk: Some(short_events()[3..].to_vec()),
+                    cell: cell(Workload::Nbody, ProtocolKind::Mesi, 7, &short_events()[2..]),
+                    outcome: Err(Failure {
+                        message: "bad \"x\"\n".to_string(),
+                        reproducer: short_events()[3..].to_vec(),
+                    }),
                 },
             ],
             steps: 2,
@@ -751,7 +397,7 @@ mod tests {
             \x20 ]\n\
             }\n";
         assert_eq!(c.to_json().report(), expected);
-        let empty = Campaign {
+        let empty = Campaign::<CellStats> {
             results: Vec::new(),
             steps: 1,
             full: false,
@@ -761,50 +407,21 @@ mod tests {
 
     #[test]
     fn failing_cells_carry_a_reproducer_in_the_json() {
-        // Force a failure with an absurd budget by running the
-        // campaign plumbing against a cell whose budget the clean
-        // baseline cannot satisfy: a zero-event cell is its own clean
-        // baseline, so instead exercise the failure path through
-        // run_cell directly and assemble the result by hand.
-        let cell = Cell {
-            workload: Workload::Pic,
-            protocol: ProtocolKind::DashSci,
-            seed: 11,
-            events: short_events(),
-        };
-        let failure = run_cell(
-            cell.workload,
-            cell.protocol,
-            cell.seed,
-            &cell.events,
+        // A 1-cycle budget fails every run, so the runner's greedy pass
+        // shrinks the plan all the way to the empty list.
+        let cells = [cell(
+            Workload::Pic,
+            ProtocolKind::DashSci,
+            11,
+            &short_events(),
+        )];
+        let c = Campaign::run(
+            &cells,
             1,
-            &Watchdog::new(1),
-        )
-        .expect_err("must trip");
-        let shrunk = shrink(&cell.events, |ev| {
-            run_cell(
-                cell.workload,
-                cell.protocol,
-                cell.seed,
-                ev,
-                1,
-                &Watchdog::new(1),
-            )
-            .is_err()
-        });
-        // Every subset trips a 1-cycle budget, so the greedy pass
-        // shrinks all the way to the empty list.
-        assert!(shrunk.is_empty());
-        let c = Campaign {
-            results: vec![CellResult {
-                cell,
-                stats: None,
-                failure: Some(failure),
-                shrunk: Some(shrunk),
-            }],
-            steps: 1,
-            full: false,
-        };
+            false,
+            |_, _| Watchdog::new(1),
+            |cell, budget| check_cell(cell, budget, 1),
+        );
         assert!(!c.passed());
         let doc = crate::parse_report(&c.to_json());
         let row = &crate::report_array(&doc, "grid")[0];

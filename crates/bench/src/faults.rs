@@ -6,81 +6,64 @@
 //! simulated *state*.
 
 use crate::{emit, f, Opts, Table};
-use nbody::{NbodyProblem, SharedNbody};
-use pic::pvm::PvmPic;
-use pic::{PicProblem, SharedPic};
 use spp_core::json::Json;
-use spp_core::{CpuId, FaultPlan, Machine};
-use spp_pvm::Pvm;
+use spp_core::{CancelToken, CpuId, FaultPlan, Machine};
 use spp_runtime::{Placement, Runtime, Team};
+use spp_scenario::{run_pvm_pic, run_shared_app, WorkloadApp};
 
-/// Outcome of one workload run under a fault plan.
+/// Outcome of one workload run under a fault plan. Every field is an
+/// integer, so `==` is bit-exact equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRun {
     /// Elapsed simulated cycles.
     pub elapsed: u64,
-    /// Sustained Mflop/s.
-    pub mflops: f64,
+    /// Flops executed (with `elapsed`, this fixes the Mflop/s rate).
+    pub flops: u64,
     /// SCI ring stalls the plan injected.
     pub ring_stalls: u64,
     /// PVM send retries paid (zero for shared-memory workloads).
     pub retries: u64,
 }
 
-impl FaultRun {
-    /// Bit-exact equality (u64 cycles plus the raw bits of the rate).
-    pub fn bit_identical(&self, other: &FaultRun) -> bool {
-        self.elapsed == other.elapsed
-            && self.mflops.to_bits() == other.mflops.to_bits()
-            && self.ring_stalls == other.ring_stalls
-            && self.retries == other.retries
+/// `app` on 8 CPUs placed Uniform across two hypernodes, under `plan`.
+fn shared(app: WorkloadApp, plan: FaultPlan, steps: usize) -> FaultRun {
+    let rt = Runtime::new(Machine::spp1000(2).with_faults(plan));
+    let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
+    // The CFL number only steers FEM, which this experiment does not run.
+    let run = run_shared_app(app, rt, &team, steps, 0.3, &CancelToken::new())
+        .expect("an uncancelled shared-memory run finishes");
+    FaultRun {
+        elapsed: run.totals.cycles,
+        flops: run.totals.flops,
+        ring_stalls: run.rt.machine.stats.ring_stalls,
+        retries: 0,
     }
 }
 
 /// Shared-memory PIC (16x16x16 mesh, 8 CPUs across two hypernodes)
 /// under `plan`.
 pub fn pic_shared(plan: FaultPlan, steps: usize) -> FaultRun {
-    let mut rt = Runtime::new(Machine::spp1000(2).with_faults(plan));
-    let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
-    let mut sim = SharedPic::new(&mut rt, PicProblem::with_mesh(16, 16, 16), &team);
-    sim.step(&mut rt, &team); // warm-up
-    let r = sim.run(&mut rt, &team, steps);
-    FaultRun {
-        elapsed: r.elapsed,
-        mflops: r.mflops(),
-        ring_stalls: rt.machine.stats.ring_stalls,
-        retries: 0,
-    }
+    shared(WorkloadApp::Pic { mesh: (16, 16, 16) }, plan, steps)
 }
 
 /// Shared-memory N-body (8192 bodies, 8 CPUs across two hypernodes)
 /// under `plan`.
 pub fn nbody_shared(plan: FaultPlan, steps: usize) -> FaultRun {
-    let mut rt = Runtime::new(Machine::spp1000(2).with_faults(plan));
-    let team = Team::place(rt.machine.config(), 8, &Placement::Uniform);
-    let mut sim = SharedNbody::new(&mut rt, NbodyProblem::with_n(8192), &team);
-    sim.step(&mut rt, &team); // warm-up
-    let r = sim.run(&mut rt, &team, steps);
-    FaultRun {
-        elapsed: r.elapsed,
-        mflops: r.mflops(),
-        ring_stalls: rt.machine.stats.ring_stalls,
-        retries: 0,
-    }
+    shared(WorkloadApp::Nbody { bodies: 8192 }, plan, steps)
 }
 
-/// PVM PIC (16x16x16 mesh, 8 tasks across two hypernodes) under
-/// `plan`.
+/// PVM PIC (16x16x16 mesh, 8 tasks on CPUs 0..8 across two
+/// hypernodes) under `plan`.
 pub fn pic_pvm(plan: FaultPlan, steps: usize) -> FaultRun {
     let cpus: Vec<CpuId> = (0..8u16).map(CpuId).collect();
-    let mut pvm = Pvm::new(Machine::spp1000(2).with_faults(plan), &cpus);
-    let mut sim = PvmPic::new(&mut pvm, PicProblem::with_mesh(16, 16, 16));
-    sim.step(&mut pvm); // warm-up
-    let r = sim.run(&mut pvm, steps);
+    let machine = Machine::spp1000(2).with_faults(plan);
+    let run = run_pvm_pic(machine, &cpus, (16, 16, 16), steps, &CancelToken::new())
+        .expect("an uncancelled PVM run finishes");
     FaultRun {
-        elapsed: r.elapsed,
-        mflops: r.mflops(),
-        ring_stalls: pvm.machine.stats.ring_stalls,
-        retries: pvm.fault_stats().retries,
+        elapsed: run.totals.cycles,
+        flops: run.totals.flops,
+        ring_stalls: run.pvm.machine.stats.ring_stalls,
+        retries: run.pvm.fault_stats().retries,
     }
 }
 
@@ -100,35 +83,26 @@ pub struct CaseResult {
 impl CaseResult {
     /// Did the two runs match bit for bit?
     pub fn identical(&self) -> bool {
-        self.a.bit_identical(&self.b)
+        self.a == self.b
     }
 }
 
 /// Run the determinism sweep: each workload twice under each seed.
 pub fn determinism_sweep(steps: usize) -> Vec<CaseResult> {
+    type Runner = fn(FaultPlan, usize) -> FaultRun;
+    let runners: [(&'static str, Runner); 3] = [
+        ("PIC shared", pic_shared),
+        ("N-body shared", nbody_shared),
+        ("PIC PVM", pic_pvm),
+    ];
     let mut cases = Vec::new();
     for seed in [42u64, 43] {
-        type Case = (&'static str, Box<dyn Fn() -> FaultRun>);
-        let runners: [Case; 3] = [
-            (
-                "PIC shared",
-                Box::new(move || pic_shared(FaultPlan::standard(seed), steps)),
-            ),
-            (
-                "N-body shared",
-                Box::new(move || nbody_shared(FaultPlan::standard(seed), steps)),
-            ),
-            (
-                "PIC PVM",
-                Box::new(move || pic_pvm(FaultPlan::standard(seed), steps)),
-            ),
-        ];
-        for (workload, runner) in runners {
+        for (workload, run) in runners {
             cases.push(CaseResult {
                 workload,
                 seed,
-                a: runner(),
-                b: runner(),
+                a: run(FaultPlan::standard(seed), steps),
+                b: run(FaultPlan::standard(seed), steps),
             });
         }
     }
@@ -276,7 +250,7 @@ mod tests {
     fn report_json_bytes_are_pinned() {
         let run = |elapsed| FaultRun {
             elapsed,
-            mflops: 1.5,
+            flops: 15,
             ring_stalls: 3,
             retries: 4,
         };
@@ -311,14 +285,14 @@ mod tests {
     fn same_fault_seed_is_bit_identical() {
         let a = pic_shared(FaultPlan::standard(42), 1);
         let b = pic_shared(FaultPlan::standard(42), 1);
-        assert!(a.bit_identical(&b));
+        assert_eq!(a, b);
         assert!(
             a.ring_stalls > 0,
             "standard plan should stall some ring ops"
         );
         let c = nbody_shared(FaultPlan::standard(42), 1);
         let d = nbody_shared(FaultPlan::standard(42), 1);
-        assert!(c.bit_identical(&d));
+        assert_eq!(c, d);
     }
 
     #[test]

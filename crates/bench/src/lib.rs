@@ -20,6 +20,7 @@ pub mod fig4;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
+pub mod grid;
 pub mod insight;
 pub mod latency;
 pub mod protocol;

@@ -6,7 +6,7 @@
 //! negative-control kernel (the proptest shim's `racy_sum`) must be
 //! flagged by the detector AND diverge under permutation; its failing
 //! schedule is shrunk with the chaos delta-debug machinery
-//! ([`crate::chaos::shrink`]) over adjacent transpositions, then the
+//! ([`crate::grid::shrink`]) over adjacent transpositions, then the
 //! team is reduced, yielding a ≤ 2-thread minimal reproducer written
 //! as a replayable artifact (`race_repro.json`).
 //!
@@ -16,29 +16,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-pub use crate::chaos::Workload;
+pub use crate::grid::Workload;
 use crate::{emit, Opts, Table};
 use proptest::racy;
 use spp_core::json::Json;
-use spp_core::{panic_message, Machine, MemStats, RaceReport};
+use spp_core::{panic_message, Fnv1a, Machine, MemStats, RaceReport};
 use spp_runtime::{Runtime, SchedulePolicy};
 use spp_scenario::SharedApp;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: &mut u64, word: u64) {
-    for shift in [0, 8, 16, 24, 32, 40, 48, 56] {
-        *h ^= (word >> shift) & 0xff;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv_f64s(h: &mut u64, vals: &[f64]) {
-    for v in vals {
-        fnv(h, v.to_bits());
-    }
-}
 
 /// What one run leaves behind: an FNV-1a digest of the final simulated
 /// memory state and the run's result counters, plus the machine's
@@ -138,54 +122,52 @@ pub fn run_app(
     }
     let run = w.run(Runtime::new(m).with_schedule(policy.clone()), steps);
     let t = run.totals;
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     match &run.app {
         SharedApp::Pic(sim) => {
             let (x, y, z) = sim.positions();
             let (vx, vy, vz) = sim.velocities();
             for s in [x, y, z, vx, vy, vz] {
-                fnv_f64s(&mut h, s);
+                h.f64s(s);
             }
-            fnv(&mut h, sim.field_energy().to_bits());
-            fnv(&mut h, t.flops);
+            h.word(sim.field_energy().to_bits());
+            h.word(t.flops);
         }
         SharedApp::Nbody(sim) => {
             let b = sim.bodies();
             for s in [&b.x, &b.y, &b.z, &b.vx, &b.vy, &b.vz, &b.m] {
-                fnv_f64s(&mut h, s);
+                h.f64s(s);
             }
             let (ax, ay, az) = sim.accelerations();
             for s in [ax, ay, az] {
-                fnv_f64s(&mut h, s);
+                h.f64s(s);
             }
-            fnv(&mut h, t.flops);
-            fnv(&mut h, t.interactions);
+            h.word(t.flops);
+            h.word(t.interactions);
         }
         SharedApp::Fem(sim) => {
             let s = sim.state();
             for a in [&s.rho, &s.mu, &s.mv, &s.e] {
-                fnv_f64s(&mut h, a);
+                h.f64s(a);
             }
-            fnv(&mut h, t.point_updates);
+            h.word(t.point_updates);
         }
         SharedApp::Ppm(sim) => {
             let p = &sim.problem;
             for y in 0..p.ny {
                 for x in 0..p.nx {
                     let q = sim.prim(x, y);
-                    for v in [q.rho, q.u, q.v, q.p] {
-                        fnv(&mut h, v.to_bits());
-                    }
+                    h.f64s(&[q.rho, q.u, q.v, q.p]);
                 }
             }
-            fnv(&mut h, sim.total_mass().to_bits());
-            fnv(&mut h, t.flops);
+            h.word(sim.total_mass().to_bits());
+            h.word(t.flops);
         }
     }
     let m = &run.rt.machine;
     (
         Outcome {
-            digest: h,
+            digest: h.finish(),
             stats: m.stats,
         },
         m.race_report(),
@@ -450,12 +432,12 @@ pub fn check_control(full: bool) -> ControlResult {
         }
 
         // 3. Shrink the failing permutation to a minimal transposition
-        //    set with the chaos delta-debugger, then reduce the team:
+        //    set with the fault grid's delta-debugger, then reduce the team:
         //    the smallest team where a single adjacent swap still
         //    diverges is the minimal reproducer.
         let repro = first_diverging.map(|policy| {
             let ops = adjacent_decomposition(&policy.order(CONTROL_THREADS));
-            let shrunk = crate::chaos::shrink(&ops, |subset| {
+            let shrunk = crate::grid::shrink(&ops, |subset| {
                 let perm = apply_transpositions(CONTROL_THREADS, subset);
                 racy_bits(SchedulePolicy::Explicit(perm), CONTROL_THREADS, &values) != identity_bits
             });
@@ -743,6 +725,14 @@ mod tests {
         assert!(a.failure.is_none(), "ppm crashed: {:?}", a.failure);
         assert_eq!(a.races, 0, "ppm reported races");
         assert!(a.divergent.is_empty(), "ppm diverged: {:?}", a.divergent);
+    }
+
+    #[test]
+    fn ppm_outcome_digest_is_pinned() {
+        // The digest folds every state word byte by byte; pinning one
+        // value shows a change of hasher leaves it where it was.
+        let (o, _) = run_app(Workload::Ppm, &SchedulePolicy::Identity, 1, false);
+        assert_eq!(o.digest, 0xa767_7ad0_defd_1196, "{:#018x}", o.digest);
     }
 
     fn repro() -> MinimalRepro {

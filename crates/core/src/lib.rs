@@ -44,6 +44,7 @@ pub mod diagram;
 pub mod directory;
 pub mod error;
 pub mod fault;
+pub mod fnv;
 pub mod heat;
 pub mod json;
 pub mod jsonl;
@@ -67,6 +68,7 @@ pub use config::{CpuId, FuId, MachineConfig, NodeId, RingId};
 pub use diagram::system_diagram;
 pub use error::{ConfigError, SimError};
 pub use fault::{FaultEvent, FaultPlan, HardFault, N_FAULT_SITES};
+pub use fnv::{fnv1a, Fnv1a};
 pub use heat::{
     heat_by_region, heat_report, insight_json, HeatCell, HeatMap, RegionHeat, ServiceLevel,
     N_SERVICE_LEVELS,

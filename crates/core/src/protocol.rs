@@ -143,19 +143,38 @@ pub trait CoherenceProtocol {
 #[derive(Debug, Clone)]
 pub(crate) struct SnoopFilter {
     holders: LineMap<Vec<u16>>,
+    /// The emptied holder lists of lines no cache holds any more. A
+    /// newly cached line takes one, so lines that keep entering and
+    /// leaving the caches allocate nothing once warm.
+    spare: Vec<Vec<u16>>,
 }
+
+/// Room a new holder list starts with: enough that a line shared by
+/// up to this many CPUs never regrows its list (4 → 8 → 16).
+const HOLDERS_ROOM: usize = 16;
 
 impl SnoopFilter {
     /// An empty filter.
     pub(crate) fn new() -> Self {
         SnoopFilter {
             holders: LineMap::new(),
+            spare: Vec::new(),
         }
+    }
+
+    /// `line`'s holder list, created from a spare buffer if absent.
+    fn entry(&mut self, line: u64) -> &mut Vec<u16> {
+        let spare = &mut self.spare;
+        self.holders.entry_or_insert_with(line, || {
+            spare
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(HOLDERS_ROOM))
+        })
     }
 
     /// Record that `cpu` now holds `line` (idempotent).
     pub(crate) fn add(&mut self, line: u64, cpu: u16) {
-        let v = self.holders.entry_or_insert_with(line, Vec::new);
+        let v = self.entry(line);
         if !v.contains(&cpu) {
             v.push(cpu);
         }
@@ -169,13 +188,13 @@ impl SnoopFilter {
     /// Make `cpu` the only holder of `line` (a write's invalidation
     /// broadcast) in one probe, reusing the list's buffer.
     pub(crate) fn set_sole_holder(&mut self, line: u64, cpu: u16) {
-        let v = self.holders.entry_or_insert_with(line, Vec::new);
+        let v = self.entry(line);
         v.clear();
         v.push(cpu);
     }
 
     /// Drop every holder of `line` that `keep` rejects; an emptied
-    /// list is removed.
+    /// list is removed and its buffer kept spare.
     fn retain(&mut self, line: u64, keep: impl Fn(u16) -> bool) {
         let empty = match self.holders.get_mut(line) {
             Some(v) => {
@@ -185,7 +204,9 @@ impl SnoopFilter {
             None => false,
         };
         if empty {
-            self.holders.remove(line);
+            if let Some(v) = self.holders.remove(line) {
+                self.spare.push(v);
+            }
         }
     }
 

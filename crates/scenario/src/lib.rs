@@ -53,6 +53,6 @@ pub use spec::{
     SPEC_SCHEMA,
 };
 pub use workload::{
-    run_builtin, run_shared_app, run_workload, CheckpointPaths, SharedApp, SharedRun, StepTotals,
-    WorkloadOutcome,
+    run_builtin, run_pvm_pic, run_shared_app, run_workload, CheckpointPaths, PvmRun, SharedApp,
+    SharedRun, StepTotals, WorkloadOutcome,
 };

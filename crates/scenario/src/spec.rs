@@ -895,14 +895,7 @@ impl ScenarioSpec {
     /// the digest; callers that want name-independent identity can
     /// normalize the name before digesting.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in self.to_toml_string().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        spp_core::fnv1a(self.to_toml_string().as_bytes())
     }
 
     /// Serialize back to canonical TOML.
@@ -1417,6 +1410,14 @@ reads = 1000
         assert_ne!(s.digest(), retimed.digest());
         // Stable across calls.
         assert_eq!(s.digest(), s.digest());
+    }
+
+    #[test]
+    fn digest_bytes_are_pinned() {
+        // Serve's results cache keys on this value: a hasher change
+        // that moved it would orphan every cached result.
+        let s = ScenarioSpec::from_toml_str(FULL_WORKLOAD).unwrap();
+        assert_eq!(s.digest(), 0xf2df_403d_9126_6307, "{:#018x}", s.digest());
     }
 
     #[test]

@@ -200,8 +200,9 @@ pub enum SharedApp {
     Ppm(Box<SharedPpm>),
 }
 
-/// Totals over the measured steps of a [`run_shared_app`] run. A
-/// counter an application does not keep stays zero.
+/// Totals over the measured steps of a [`run_shared_app`] or
+/// [`run_pvm_pic`] run. A counter an application does not keep stays
+/// zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTotals {
     /// Elapsed simulated cycles.
@@ -334,6 +335,42 @@ fn shared_app(spec: &WorkloadSpec, cancel: &CancelToken) -> Result<WorkloadOutco
     })
 }
 
+/// A finished [`run_pvm_pic`] run.
+pub struct PvmRun {
+    /// The PVM session, machine included, after the last step.
+    pub pvm: Pvm,
+    /// Totals over the measured steps (the warm-up step excluded).
+    pub totals: StepTotals,
+}
+
+/// The one runner of the PVM PIC code: one task on each of `cpus` of
+/// `machine`, the `mesh` problem set up, one untimed warm-up step,
+/// then `steps` measured steps. Like [`run_shared_app`] it publishes
+/// the machine clock to `cancel` before each measured step and
+/// returns an error if the run was cancelled.
+pub fn run_pvm_pic(
+    machine: Machine,
+    cpus: &[CpuId],
+    mesh: (usize, usize, usize),
+    steps: usize,
+    cancel: &CancelToken,
+) -> Result<PvmRun, String> {
+    let mut pvm = Pvm::new(machine, cpus);
+    let mut app = PvmPic::new(&mut pvm, PicProblem::with_mesh(mesh.0, mesh.1, mesh.2));
+    app.step(&mut pvm); // warm-up
+    let mut totals = StepTotals::default();
+    for _ in 0..steps {
+        cancel.note_progress(pvm.machine.clock());
+        if cancel.is_cancelled() {
+            return cancelled();
+        }
+        let (cycles, flops) = app.step(&mut pvm);
+        totals.cycles += cycles;
+        totals.flops += flops;
+    }
+    Ok(PvmRun { pvm, totals })
+}
+
 fn pic_pvm(
     spec: &WorkloadSpec,
     mesh: (usize, usize, usize),
@@ -342,23 +379,13 @@ fn pic_pvm(
     let machine = build_machine(spec);
     let team = Team::try_place(machine.config(), spec.threads, &placement(spec.placement))
         .map_err(|e| e.to_string())?;
-    let cpus: Vec<CpuId> = team.cpus().to_vec();
-    let mut pvm = Pvm::new(machine, &cpus);
-    let mut app = PvmPic::new(&mut pvm, PicProblem::with_mesh(mesh.0, mesh.1, mesh.2));
-    app.step(&mut pvm); // warm-up
-    let mut cycles = 0;
-    for _ in 0..spec.steps {
-        cancel.note_progress(pvm.machine.clock());
-        if cancel.is_cancelled() {
-            return cancelled();
-        }
-        cycles += app.step(&mut pvm).0;
-    }
-    cancel.note_progress(pvm.machine.clock());
-    check_insight(spec, &pvm.machine)?;
+    let run = run_pvm_pic(machine, team.cpus(), mesh, spec.steps, cancel)?;
+    let m = &run.pvm.machine;
+    cancel.note_progress(m.clock());
+    check_insight(spec, m)?;
     Ok(WorkloadOutcome {
-        cycles,
-        stats: pvm.machine.stats,
+        cycles: run.totals.cycles,
+        stats: m.stats,
         steps_run: spec.steps,
         resumed_from: None,
         checkpoints_written: 0,
